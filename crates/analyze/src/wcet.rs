@@ -395,6 +395,12 @@ impl Analyzer<'_> {
                     Some(callee) => Bound::Finite(1).add(self.func_csa(callee)),
                     None => Bound::Unbounded("unresolved-call"),
                 },
+                // Code behind an unresolved successor is not in `nodes`
+                // and may call: mirror `block_weight`.
+                _ if block.term == Terminator::IndirectJump && block.edges.is_empty() => {
+                    Bound::Unbounded("unresolved-indirect")
+                }
+                _ if block.term == Terminator::DecodeStop => Bound::Unbounded("decode-stop"),
                 // `jl` spills nothing and its callee is inlined into
                 // `nodes`, so the callee's own call sites are already
                 // visited by this loop.
@@ -989,6 +995,24 @@ _start:
         );
         assert_eq!(r.program_wcet, Bound::Unbounded("no-blocks"));
         assert_eq!(r.program_csa, Bound::Unbounded("no-blocks"));
+    }
+
+    #[test]
+    fn unresolved_indirect_hop_claims_no_csa_depth() {
+        // Shrunk fuzz reproducer (seed 0xc6e6415d455db97d, case 38): the
+        // constant propagator gives up on the `ji` chain before the
+        // `call`, so the depth behind the last resolved hop is unknown
+        // and must not be a confident 0 (the run reaches depth 1).
+        let mut src = String::from("\n    .org 0x80000000\n_start:\n");
+        for hop in 0..10 {
+            src.push_str(&format!("    la a6, join_{hop}\n    ji a6\njoin_{hop}:\n"));
+        }
+        src.push_str("    call leaf\n    halt\nleaf:\n    ret\n");
+        let r = report(&src);
+        assert!(r.program_csa.finite().is_none(), "{:?}", r.program_csa);
+        let g = cfg::recover(&assemble(&src).expect("assembles"));
+        let sol = constprop::solve(&g);
+        assert!(program_csa_bound(&g, &sol).finite().is_none());
     }
 
     #[test]

@@ -191,8 +191,8 @@ pub fn profile(
     obs.begin_span("target.run", start.0);
 
     while ed.now().saturating_sub(start) < opts.max_cycles {
-        let step = ed.step()?;
-        produced += u64::from(step.trace_bytes);
+        let (trace_bytes, step_halted) = ed.advance()?;
+        produced += u64::from(trace_bytes);
         match &mut drainer {
             Drainer::Offline => {
                 let level = ed.trace.level();
@@ -213,7 +213,7 @@ pub fn profile(
             }
             Drainer::Session(tool, _) => tool.pump(ed),
         }
-        if step.halted {
+        if step_halted {
             halted = true;
             break;
         }

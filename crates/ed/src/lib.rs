@@ -180,36 +180,49 @@ impl EmulationDevice {
         Ok(())
     }
 
-    /// Advances the device one cycle: SoC, then MCDS observation, then the
-    /// trace controller.
+    /// Advances the device one cycle and returns an owned copy of the
+    /// product chip's observation ([`EmulationDevice::advance`] plus a
+    /// clone of [`Soc::last_observation`]).
     ///
     /// # Errors
     ///
     /// Propagates SoC faults.
     pub fn step(&mut self) -> Result<EdStep, SimError> {
-        let obs = self.soc.step()?;
+        let (trace_bytes, halted) = self.advance()?;
+        Ok(EdStep {
+            obs: self.soc.last_observation().clone(),
+            trace_bytes,
+            halted,
+        })
+    }
+
+    /// Advances the device one cycle: SoC, then MCDS observation, then the
+    /// trace controller. Returns `(trace bytes produced, halted)`; the
+    /// cycle's observation stays readable through
+    /// [`Soc::last_observation`]. Allocation-free in steady state.
+    ///
+    /// # Errors
+    ///
+    /// Propagates SoC faults.
+    pub fn advance(&mut self) -> Result<(u32, bool), SimError> {
+        let obs = self.soc.advance()?;
+        let halted = obs.halted;
         self.scratch.clear();
         if let Some(mcds) = &mut self.mcds {
             mcds.observe(obs.cycle, &obs.events, &obs.bus, &mut self.scratch);
         }
         let produced = self.scratch.len() as u32;
-        if produced > 0 {
-            let mut consumed = 0usize;
-            for p in self.trace.push(produced) {
-                for i in 0..p.len {
-                    let b = self.scratch[consumed + i as usize];
-                    self.soc
-                        .fabric
-                        .poke(EMEM_BASE.offset(p.region_offset + i), 1, u32::from(b))?;
-                }
-                consumed += p.len as usize;
+        let mut consumed = 0usize;
+        for p in self.trace.reserve(produced) {
+            for i in 0..p.len {
+                let b = self.scratch[consumed + i as usize];
+                self.soc
+                    .fabric
+                    .poke(EMEM_BASE.offset(p.region_offset + i), 1, u32::from(b))?;
             }
+            consumed += p.len as usize;
         }
-        Ok(EdStep {
-            halted: obs.halted,
-            trace_bytes: produced,
-            obs,
-        })
+        Ok((produced, halted))
     }
 
     /// Downloads up to `max` trace bytes (host side, via Cerberus). The

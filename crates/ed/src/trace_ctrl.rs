@@ -84,6 +84,12 @@ impl TraceController {
     /// wrap-around) for the bytes that fit. In `Linear` mode excess bytes
     /// are dropped; in `Ring` mode the oldest stored bytes are sacrificed.
     pub fn push(&mut self, len: u32) -> Vec<Placement> {
+        self.reserve(len).collect()
+    }
+
+    /// [`TraceController::push`] without the allocation: the same
+    /// placements, as an iterator that does not borrow the controller.
+    pub fn reserve(&mut self, len: u32) -> impl Iterator<Item = Placement> {
         let mut len = u64::from(len);
         match self.mode {
             TraceMode::Linear => {
@@ -109,46 +115,37 @@ impl TraceController {
                 }
             }
         }
-        if len == 0 {
-            return Vec::new();
-        }
-        let start = (self.wr % self.capacity) as u32;
+        let at = self.wr;
         self.wr += len;
-        let first = (self.capacity - u64::from(start)).min(len) as u32;
-        let mut out = vec![Placement {
-            region_offset: start,
-            len: first,
-        }];
-        if u64::from(first) < len {
-            out.push(Placement {
-                region_offset: 0,
-                len: (len - u64::from(first)) as u32,
-            });
-        }
-        out
+        self.split(at, len)
     }
 
     /// Marks up to `max` stored bytes as downloaded; returns the placements
     /// the host must read (in order).
     pub fn pop(&mut self, max: u32) -> Vec<Placement> {
         let len = u64::from(max).min(self.level());
-        if len == 0 {
-            return Vec::new();
-        }
-        let start = (self.rd % self.capacity) as u32;
+        let at = self.rd;
         self.rd += len;
+        self.split(at, len).collect()
+    }
+
+    /// The physical placements of `len` bytes at absolute offset `at`:
+    /// up to the region end, then the rest from offset 0.
+    fn split(&self, at: u64, len: u64) -> impl Iterator<Item = Placement> {
+        let start = (at % self.capacity) as u32;
         let first = (self.capacity - u64::from(start)).min(len) as u32;
-        let mut out = vec![Placement {
-            region_offset: start,
-            len: first,
-        }];
-        if u64::from(first) < len {
-            out.push(Placement {
+        [
+            Placement {
+                region_offset: start,
+                len: first,
+            },
+            Placement {
                 region_offset: 0,
                 len: (len - u64::from(first)) as u32,
-            });
-        }
-        out
+            },
+        ]
+        .into_iter()
+        .filter(|p| p.len > 0)
     }
 }
 

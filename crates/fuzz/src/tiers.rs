@@ -187,7 +187,8 @@ fn pipe_exec(image: &Image, fast: bool, max_cycles: u64) -> PipeOut {
             out.err = Some(e);
             break;
         }
-        out.events.append(&mut sink.drain());
+        out.events.extend_from_slice(sink.records());
+        sink.clear();
         cyc += 1;
     }
     out.halted = core.is_halted();

@@ -274,8 +274,19 @@ impl McdsBuilder {
             need_sync: true,
             stopped: false,
             watchpoints: Vec::new(),
+            scratch: Scratch::default(),
         })
     }
+}
+
+/// Per-cycle trigger facts, kept across cycles so [`Mcds::observe`] reuses
+/// their capacity instead of allocating.
+#[derive(Debug, Default)]
+struct Scratch {
+    comp_matches: Vec<bool>,
+    last_rates: Vec<Option<(u64, u64)>>,
+    counter_values: Vec<u64>,
+    actions: Vec<Action>,
 }
 
 /// A programmed, running MCDS instance.
@@ -301,6 +312,7 @@ pub struct Mcds {
     need_sync: bool,
     stopped: bool,
     watchpoints: Vec<(Cycle, u8)>,
+    scratch: Scratch,
 }
 
 impl Mcds {
@@ -356,12 +368,16 @@ impl Mcds {
         bus: &[BusTransaction],
         out: &mut Vec<u8>,
     ) {
+        let Scratch {
+            mut comp_matches,
+            mut last_rates,
+            mut counter_values,
+            mut actions,
+        } = std::mem::take(&mut self.scratch);
+
         // 1. Comparators.
-        let comp_matches: Vec<bool> = self
-            .comparators
-            .iter()
-            .map(|c| c.matches(events, bus))
-            .collect();
+        comp_matches.clear();
+        comp_matches.extend(self.comparators.iter().map(|c| c.matches(events, bus)));
 
         // 2. Trigger counters.
         for (sel, value) in &mut self.counters {
@@ -369,18 +385,17 @@ impl Mcds {
         }
 
         // 3. State machine.
-        let last_rates: Vec<Option<(u64, u64)>> =
-            self.probe_state.iter().map(|s| s.last_window).collect();
-        let counter_values: Vec<u64> = self.counters.iter().map(|(_, v)| *v).collect();
-        let actions: Vec<Action> = {
-            let facts = TriggerFacts {
-                comp_matches: &comp_matches,
-                counter_values: &counter_values,
-                last_rates: &last_rates,
-            };
-            self.sm.step(&facts).to_vec()
-        };
-        for a in actions {
+        last_rates.clear();
+        last_rates.extend(self.probe_state.iter().map(|s| s.last_window));
+        counter_values.clear();
+        counter_values.extend(self.counters.iter().map(|(_, v)| *v));
+        actions.clear();
+        actions.extend_from_slice(self.sm.step(&TriggerFacts {
+            comp_matches: &comp_matches,
+            counter_values: &counter_values,
+            last_rates: &last_rates,
+        }));
+        for &a in &actions {
             match a {
                 Action::TraceOn(u) => self.set_trace(u, true),
                 Action::TraceOff(u) => self.set_trace(u, false),
@@ -454,6 +469,12 @@ impl Mcds {
             }
         }
 
+        self.scratch = Scratch {
+            comp_matches,
+            last_rates,
+            counter_values,
+            actions,
+        };
         if self.stopped {
             return;
         }

@@ -157,6 +157,7 @@ pub struct Fabric {
     /// Bus transactions observed this cycle (MCDS bus observation).
     pub bus_obs: Vec<BusTransaction>,
     dma_beats: u64,
+    pcp_triggers: Vec<u8>,
 }
 
 impl Fabric {
@@ -186,6 +187,7 @@ impl Fabric {
             sink: EventSink::new(),
             bus_obs: Vec::new(),
             dma_beats: 0,
+            pcp_triggers: Vec::new(),
             storage,
             cfg,
         }
@@ -618,18 +620,21 @@ impl Fabric {
     /// # Errors
     ///
     /// Propagates DMA access faults (bad channel programming).
-    pub fn step(&mut self, now: Cycle) -> Result<Vec<u8>, SimError> {
+    pub fn step(&mut self, now: Cycle) -> Result<&[u8], SimError> {
         self.stm.step(now, &mut self.irq, &mut self.sink);
         self.adc.step(now, &mut self.irq, &mut self.sink);
         self.can.step(now, &mut self.irq, &mut self.sink);
         self.crank.step(now, &mut self.irq, &mut self.sink);
         self.flash.step(now, &mut self.sink);
-        let disp = self.irq.dispatch();
-        for ch in &disp.dma_triggers {
-            self.dma.request(*ch);
-        }
+        self.pcp_triggers.clear();
+        let (dma, pcp) = (&mut self.dma, &mut self.pcp_triggers);
+        self.irq.dispatch(|service| match service {
+            Service::Pcp { channel } => pcp.push(channel),
+            Service::Dma { channel } => dma.request(channel),
+            Service::Cpu => {}
+        });
         self.step_dma(now)?;
-        Ok(disp.pcp_triggers)
+        Ok(&self.pcp_triggers)
     }
 
     fn step_dma(&mut self, now: Cycle) -> Result<(), SimError> {

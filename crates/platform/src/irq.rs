@@ -13,6 +13,9 @@ use audo_common::{Cycle, EventSink, PerfEvent, SourceId};
 /// Number of service request nodes.
 pub const N_SRN: usize = 32;
 
+// The pending set is one `u32` bit per SRN.
+const _: () = assert!(N_SRN <= 32);
+
 /// Well-known SRN assignments.
 pub mod srn {
     /// System timer compare 0.
@@ -65,20 +68,12 @@ impl Default for SrnConfig {
     }
 }
 
-/// Dispatch produced by one router resolution step.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Dispatch {
-    /// PCP channels to trigger.
-    pub pcp_triggers: Vec<u8>,
-    /// DMA channels to trigger.
-    pub dma_triggers: Vec<u8>,
-}
-
 /// The interrupt router.
 #[derive(Debug, Clone)]
 pub struct IrqRouter {
     cfg: [SrnConfig; N_SRN],
-    raised: [bool; N_SRN],
+    /// Pending requests, bit `i` = SRN `i`.
+    pending: u32,
     raised_count: u64,
 }
 
@@ -94,7 +89,7 @@ impl IrqRouter {
     pub fn new() -> IrqRouter {
         IrqRouter {
             cfg: [SrnConfig::default(); N_SRN],
-            raised: [false; N_SRN],
+            pending: 0,
             raised_count: 0,
         }
     }
@@ -120,8 +115,9 @@ impl IrqRouter {
         if !c.enabled {
             return;
         }
-        if !self.raised[srn as usize] {
-            self.raised[srn as usize] = true;
+        let bit = 1u32 << srn;
+        if self.pending & bit == 0 {
+            self.pending |= bit;
             self.raised_count += 1;
             sink.emit(
                 now,
@@ -131,27 +127,18 @@ impl IrqRouter {
         }
     }
 
-    /// Resolves non-CPU routings: pending SRNs destined for PCP/DMA are
-    /// consumed and returned as triggers. Call once per cycle.
-    pub fn dispatch(&mut self) -> Dispatch {
-        let mut out = Dispatch::default();
-        for i in 0..N_SRN {
-            if !self.raised[i] {
-                continue;
-            }
-            match self.cfg[i].service {
-                Service::Cpu => {}
-                Service::Pcp { channel } => {
-                    self.raised[i] = false;
-                    out.pcp_triggers.push(channel);
-                }
-                Service::Dma { channel } => {
-                    self.raised[i] = false;
-                    out.dma_triggers.push(channel);
-                }
+    /// Resolves non-CPU routings: consumes every pending request
+    /// destined for a PCP or DMA channel and hands its destination to
+    /// `route`, in ascending SRN order. Walks only the pending bits; call
+    /// once per cycle.
+    pub fn dispatch(&mut self, mut route: impl FnMut(Service)) {
+        for i in set_bits(self.pending) {
+            let service = self.cfg[i].service;
+            if service != Service::Cpu {
+                self.pending &= !(1 << i);
+                route(service);
             }
         }
-        out
     }
 
     /// The highest-priority pending CPU interrupt, if any.
@@ -163,19 +150,17 @@ impl IrqRouter {
     /// Acknowledges (clears) the pending CPU request of priority `prio`.
     /// If several share the priority, the lowest-numbered SRN wins.
     pub fn acknowledge_cpu(&mut self, prio: u8) {
-        if let Some((idx, _)) = self
-            .iter_cpu_pending()
-            .filter(|&(_, p)| p == prio)
-            .min_by_key(|&(i, _)| i)
-        {
-            self.raised[idx] = false;
+        let hit = self.iter_cpu_pending().find(|&(_, p)| p == prio);
+        if let Some((idx, _)) = hit {
+            self.pending &= !(1 << idx);
         }
     }
 
+    /// Pending CPU requests as `(srn, prio)`, in ascending SRN order.
     fn iter_cpu_pending(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.raised.iter().enumerate().filter_map(|(i, &r)| {
+        set_bits(self.pending).filter_map(|i| {
             let c = self.cfg[i];
-            (r && c.prio > 0 && matches!(c.service, Service::Cpu)).then_some((i, c.prio))
+            (c.prio > 0 && matches!(c.service, Service::Cpu)).then_some((i, c.prio))
         })
     }
 
@@ -186,12 +171,31 @@ impl IrqRouter {
     }
 }
 
+/// Indices of the set bits of `mask`, ascending; empty (no work) when
+/// `mask` is 0.
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sink() -> EventSink {
         EventSink::new()
+    }
+
+    /// Consumes the pending PCP/DMA requests, in dispatch order.
+    fn dispatched(r: &mut IrqRouter) -> Vec<Service> {
+        let mut out = Vec::new();
+        r.dispatch(|s| out.push(s));
+        out
     }
 
     #[test]
@@ -274,15 +278,135 @@ mod tests {
         );
         r.raise(2, Cycle(0), &mut s);
         r.raise(3, Cycle(0), &mut s);
-        let d = r.dispatch();
-        assert_eq!(d.pcp_triggers, vec![4]);
-        assert_eq!(d.dma_triggers, vec![1]);
+        assert_eq!(
+            dispatched(&mut r),
+            [Service::Pcp { channel: 4 }, Service::Dma { channel: 1 }]
+        );
         assert_eq!(
             r.cpu_pending(),
             None,
             "non-CPU requests never reach the CPU"
         );
-        assert_eq!(r.dispatch(), Dispatch::default(), "consumed");
+        assert_eq!(dispatched(&mut r), [], "consumed");
+    }
+
+    fn cpu(prio: u8) -> SrnConfig {
+        SrnConfig {
+            prio,
+            enabled: true,
+            service: Service::Cpu,
+        }
+    }
+
+    #[test]
+    fn mask_edges_srn_0_and_31() {
+        let mut r = IrqRouter::new();
+        let mut s = sink();
+        r.configure(0, cpu(2));
+        r.configure(31, cpu(9));
+        r.raise(0, Cycle(0), &mut s);
+        r.raise(31, Cycle(0), &mut s);
+        assert_eq!(r.raised_total(), 2);
+        assert_eq!(r.cpu_pending(), Some(9));
+        r.acknowledge_cpu(9);
+        assert_eq!(r.cpu_pending(), Some(2));
+        r.acknowledge_cpu(2);
+        assert_eq!(r.cpu_pending(), None);
+        // Both bits are clear again: a new raise counts and emits.
+        r.raise(31, Cycle(1), &mut s);
+        assert_eq!(r.raised_total(), 3);
+        assert_eq!(s.records().len(), 3);
+    }
+
+    #[test]
+    fn equal_priority_acknowledges_lowest_srn_first() {
+        let mut r = IrqRouter::new();
+        let mut s = sink();
+        r.configure(20, cpu(4));
+        r.configure(6, cpu(4));
+        r.raise(20, Cycle(0), &mut s);
+        r.raise(6, Cycle(0), &mut s);
+        r.acknowledge_cpu(4);
+        // SRN 6 was consumed: raising it again counts, SRN 20 does not.
+        r.raise(20, Cycle(1), &mut s);
+        assert_eq!(r.raised_total(), 2, "SRN 20 still pending");
+        r.raise(6, Cycle(1), &mut s);
+        assert_eq!(r.raised_total(), 3, "SRN 6 was acknowledged");
+        r.acknowledge_cpu(4);
+        r.acknowledge_cpu(4);
+        assert_eq!(r.cpu_pending(), None);
+    }
+
+    #[test]
+    fn pcp_and_dma_triggers_come_out_in_ascending_srn_order() {
+        let mut r = IrqRouter::new();
+        let mut s = sink();
+        let routes = [
+            (31, Service::Pcp { channel: 1 }),
+            (5, Service::Dma { channel: 7 }),
+            (17, Service::Pcp { channel: 6 }),
+            (0, Service::Pcp { channel: 3 }),
+            (30, Service::Dma { channel: 2 }),
+            (12, Service::Cpu),
+        ];
+        for (srn, service) in routes {
+            r.configure(
+                srn,
+                SrnConfig {
+                    prio: 1,
+                    enabled: true,
+                    service,
+                },
+            );
+        }
+        // Raise in an order unrelated to the SRN numbers.
+        for srn in [17, 30, 12, 31, 0, 5] {
+            r.raise(srn, Cycle(0), &mut s);
+        }
+        assert_eq!(
+            dispatched(&mut r),
+            [
+                Service::Pcp { channel: 3 },
+                Service::Dma { channel: 7 },
+                Service::Pcp { channel: 6 },
+                Service::Dma { channel: 2 },
+                Service::Pcp { channel: 1 },
+            ]
+        );
+        assert_eq!(r.cpu_pending(), Some(1), "the CPU request stays pending");
+        assert_eq!(dispatched(&mut r), []);
+    }
+
+    #[test]
+    fn disabled_srn_never_sets_a_bit() {
+        let mut r = IrqRouter::new();
+        let mut s = sink();
+        for srn in [0, 9, 31] {
+            r.configure(
+                srn,
+                SrnConfig {
+                    enabled: false,
+                    ..cpu(5)
+                },
+            );
+            r.raise(srn, Cycle(0), &mut s);
+        }
+        r.configure(
+            10,
+            SrnConfig {
+                prio: 1,
+                enabled: false,
+                service: Service::Pcp { channel: 0 },
+            },
+        );
+        r.raise(10, Cycle(0), &mut s);
+        assert_eq!(r.pending, 0);
+        assert_eq!(r.raised_total(), 0);
+        assert!(s.records().is_empty());
+        // Enabling later does not resurrect the dropped requests.
+        r.configure(9, cpu(5));
+        assert_eq!(r.cpu_pending(), None);
+        assert_eq!(dispatched(&mut r), []);
     }
 
     #[test]

@@ -457,7 +457,7 @@ mod tests {
         let mut sink = EventSink::new();
         for c in 0..500u64 {
             adc.step(Cycle(c), &mut irq, &mut sink);
-            irq.dispatch();
+            irq.dispatch(|_| {});
             if let Some(p) = irq.cpu_pending() {
                 irq.acknowledge_cpu(p);
             }

@@ -1,9 +1,12 @@
 //! Full-SoC composition: TriCore + PCP + fabric, stepped cycle by cycle.
 //!
-//! [`Soc::step`] advances the whole product chip one CPU clock and returns
-//! everything an Emulation Extension Chip could observe that cycle: the
-//! performance events and the bus transactions. The ED crate feeds these
-//! into the MCDS; a production part simply drops them.
+//! [`Soc::advance`] advances the whole product chip one CPU clock and
+//! exposes everything an Emulation Extension Chip could observe that
+//! cycle: the performance events and the bus transactions. The ED crate
+//! feeds these into the MCDS; a production part simply drops them. The
+//! observation buffers are reused from cycle to cycle, so the steady-state
+//! cycle allocates nothing; [`Soc::step`] returns an owned copy for
+//! callers that keep observations.
 
 use audo_common::{Addr, BusTransaction, Cycle, EventRecord, EventSink, SimError, SourceId};
 use audo_pcp::Pcp;
@@ -48,6 +51,7 @@ pub struct Soc {
     pub irqs_taken: u64,
     core_sink: EventSink,
     clock: Cycle,
+    obs: CycleObservation,
 }
 
 impl Soc {
@@ -65,6 +69,7 @@ impl Soc {
             irqs_taken: 0,
             core_sink: EventSink::new(),
             clock: Cycle::ZERO,
+            obs: CycleObservation::default(),
         }
     }
 
@@ -185,16 +190,28 @@ impl Soc {
         Ok(())
     }
 
-    /// Advances the SoC by one cycle.
+    /// Advances the SoC by one cycle and returns an owned copy of its
+    /// observation ([`Soc::advance`] plus a clone).
     ///
     /// # Errors
     ///
     /// Propagates fatal faults from any master.
     pub fn step(&mut self) -> Result<CycleObservation, SimError> {
+        self.advance().cloned()
+    }
+
+    /// Advances the SoC by one cycle and returns its observation, refilled
+    /// in place (fabric events first, then core events): no allocation
+    /// once the buffers have grown to the workload's per-cycle peak.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fatal faults from any master.
+    pub fn advance(&mut self) -> Result<&CycleObservation, SimError> {
         let now = self.clock;
         // Peripherals, DMA, interrupt dispatch.
         let pcp_triggers = self.fabric.step(now)?;
-        for ch in pcp_triggers {
+        for &ch in pcp_triggers {
             self.pcp.trigger(ch);
         }
         // PCP.
@@ -218,15 +235,25 @@ impl Soc {
         }
         self.clock += 1;
 
-        let mut events = self.fabric.sink.drain();
-        events.append(&mut self.core_sink.drain());
-        Ok(CycleObservation {
-            cycle: now,
-            events,
-            bus: std::mem::take(&mut self.fabric.bus_obs),
-            tricore_retired: out.retired,
-            halted: out.halted,
-        })
+        let obs = &mut self.obs;
+        obs.cycle = now;
+        obs.events.clear();
+        for sink in [&mut self.fabric.sink, &mut self.core_sink] {
+            obs.events.extend_from_slice(sink.records());
+            sink.clear();
+        }
+        obs.bus.clear();
+        std::mem::swap(&mut obs.bus, &mut self.fabric.bus_obs);
+        obs.tricore_retired = out.retired;
+        obs.halted = out.halted;
+        Ok(obs)
+    }
+
+    /// The observation of the most recent cycle (default before the
+    /// first).
+    #[must_use]
+    pub fn last_observation(&self) -> &CycleObservation {
+        &self.obs
     }
 
     /// Runs until `HALT` or `max_cycles`, feeding every observation to
@@ -248,9 +275,9 @@ impl Soc {
                     limit: max_cycles,
                 });
             }
-            let obs = self.step()?;
+            let obs = self.advance()?;
             let halted = obs.halted;
-            on_cycle(&obs);
+            on_cycle(obs);
             if halted {
                 return Ok(self.clock - start);
             }

@@ -19,6 +19,12 @@ cargo test -q
 echo "==> workspace tests (incl. slow fault matrices): cargo test -q --workspace -- --include-ignored"
 cargo test -q --workspace -- --include-ignored
 
+echo "==> benchmark tests: cargo test --manifest-path perfbench/Cargo.toml"
+# The benchmark is its own package built from the crates by path; its
+# replay calls the public per-cycle API, so a signature change that
+# breaks it must fail here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> dap test-module gate: every crates/dap/src/*.rs has #[cfg(test)]"
 # Coverage-tool-free stand-in for a line-coverage floor: the tool-link
 # protocol sources must each carry their own unit-test module.

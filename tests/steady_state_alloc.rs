@@ -1,0 +1,143 @@
+//! The per-cycle observation path allocates nothing in steady state.
+//!
+//! A counting global allocator (per-thread counter, so the test
+//! harness's own threads do not interfere) watches
+//! `EmulationDevice::advance` — SoC step, interrupt routing, MCDS
+//! observation and EMEM trace write — on the fleet's engine-stock cohort
+//! with an IPC rate probe programmed and block profiling off. After a
+//! warm-up that grows every reusable buffer to its per-cycle peak, a long
+//! stretch of simulated cycles must not touch the heap.
+//!
+//! The one allocation the simulation itself needs is the TriCore's
+//! predecoded-block cache filling with a block it has never run: the
+//! engine's interrupt returns and rarely taken paths keep reaching new
+//! block starts until late in the session (the last one near cycle
+//! 70,000 of ~105,000). So the strict zero is checked with that cache
+//! off, and with it on (the fleet's configuration) the observing device
+//! must allocate exactly as often as a production device that observes
+//! nothing: the observation path adds no allocation of its own.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use audo_ed::{EdConfig, EmulationDevice};
+use audo_fleet::cohort::build_artifacts;
+use audo_profiler::metrics::Metric;
+use audo_profiler::spec::ProfileSpec;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot may already be gone during thread teardown.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const WARMUP_CYCLES: u64 = 20_000;
+const MEASURED_CYCLES: u64 = 50_000;
+
+/// What the measured stretch saw.
+struct Stretch {
+    /// Heap allocations during the stretch.
+    allocs: u64,
+    /// Trace bytes the MCDS wrote during the stretch.
+    trace_bytes: u64,
+}
+
+/// Warms up, then advances `MEASURED_CYCLES` engine-stock cycles. With
+/// `observed`, the device runs an IPC rate probe on the full observation
+/// stream; without, it is a production part (observation off, no MCDS).
+fn measure(fast_path: bool, observed: bool) -> Stretch {
+    let art = build_artifacts()
+        .into_iter()
+        .find(|a| a.spec.name == "engine-stock")
+        .expect("the fleet has an engine-stock cohort");
+    let mut ed = EmulationDevice::new(art.config.clone(), EdConfig::default());
+    art.workload.install_ed(&mut ed).expect("installs");
+    ed.soc.tricore.set_fast_path(fast_path);
+    ed.soc.tricore.set_profile_observation(false);
+    if observed {
+        let (mcds, _) = ProfileSpec::new()
+            .metric(Metric::Ipc, 2_000)
+            .with_timestamp_shift(4)
+            .compile()
+            .expect("one rate probe fits");
+        ed.program_mcds(mcds);
+    } else {
+        ed.soc.set_observation(false);
+    }
+
+    for _ in 0..WARMUP_CYCLES {
+        let (_, halted) = ed.advance().expect("warm-up runs");
+        assert!(!halted, "the session outlasts the warm-up");
+    }
+    let (written, before) = (ed.trace.total_written(), allocs());
+    for _ in 0..MEASURED_CYCLES {
+        let (_, halted) = ed.advance().expect("steady state runs");
+        assert!(!halted, "the session outlasts the measured stretch");
+    }
+    Stretch {
+        allocs: allocs() - before,
+        trace_bytes: ed.trace.total_written() - written,
+    }
+}
+
+#[test]
+fn advance_without_predecode_cache_never_allocates() {
+    let s = measure(false, true);
+    assert!(s.trace_bytes > 0, "the rate probe wrote trace");
+    assert_eq!(
+        s.allocs, 0,
+        "heap allocations in {MEASURED_CYCLES} steady-state cycles"
+    );
+}
+
+#[test]
+fn observation_adds_no_allocation_to_the_fleet_configuration() {
+    let observed = measure(true, true);
+    let production = measure(true, false);
+    assert!(observed.trace_bytes > 0, "the rate probe wrote trace");
+    assert_eq!(production.trace_bytes, 0);
+    assert_eq!(
+        observed.allocs, production.allocs,
+        "the observing device allocates beyond the predecode-cache fills"
+    );
+    assert!(
+        production.allocs < 100,
+        "{} allocations: the predecode cache is not warming up",
+        production.allocs
+    );
+}

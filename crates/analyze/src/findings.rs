@@ -8,6 +8,8 @@
 
 use std::fmt::Write as _;
 
+use audo_obs::chrome::json_escape;
+
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -74,26 +76,6 @@ impl Finding {
         let addr = self.addr.map_or(u64::MAX, u64::from);
         (self.severity, self.code, addr, &self.message)
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders findings as a deterministic JSON document.

@@ -46,12 +46,12 @@
 
 use audo_analyze::findings::{Finding, Severity};
 use audo_analyze::{analyze, constprop, predict, wcet, MasterRanges};
+use audo_bench::cli::{self, build_config, build_workload};
+use audo_bench::harness::{measure, time, BenchDoc};
 use audo_platform::config::SocConfig;
 use audo_platform::soc::CSA_AREAS;
 use audo_platform::Soc;
 use audo_tricore::pipeline::CostModel;
-use audo_workloads::engine::{engine_control, EngineParams};
-use audo_workloads::{variants, Workload};
 
 struct Args {
     workload: String,
@@ -122,51 +122,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn build_workload(spec: &str) -> Result<Workload, String> {
-    let (name, flags) = match spec.split_once(':') {
-        Some((n, f)) => (n, f),
-        None => (spec, ""),
-    };
-    match name {
-        "engine" => {
-            let mut p = EngineParams::default();
-            for flag in flags.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                match flag {
-                    "dspr-tables" => p.tables_in_dspr = true,
-                    "pspr-isrs" => p.isrs_in_pspr = true,
-                    "pcp-can" => p.can_on_pcp = true,
-                    "dspr-bg" => {
-                        p.bg_in_dspr = true;
-                        p.tables_in_dspr = true; // required by the knob
-                    }
-                    other => return Err(format!("unknown engine flag {other:?}")),
-                }
-            }
-            Ok(engine_control(&p))
-        }
-        "transmission" => Ok(variants::transmission_control(10)),
-        "chassis" => Ok(variants::chassis_monitor(40, 2_000)),
-        other => Err(format!(
-            "unknown workload {other:?} (engine, transmission, chassis)"
-        )),
-    }
-}
-
-fn build_config(name: &str) -> Result<SocConfig, String> {
-    match name {
-        "tc1797" => Ok(SocConfig::tc1797()),
-        "tc1767" => Ok(SocConfig::tc1767()),
-        other => Err(format!("unknown config {other:?} (tc1797, tc1767)")),
-    }
-}
-
 /// Cycle budget for `--asm` images, which carry no workload metadata.
 const ASM_MAX_CYCLES: u64 = 5_000_000;
 
 /// Times the full static pipeline over the named workloads and writes
 /// the throughput artifact. Images are built outside the timed region;
-/// best-of-reps wall time is recorded (ratios of noisy single-CPU
-/// containers are stable, absolute times are not).
+/// the pass runs `REPS` times and every pass must see the same blocks.
 fn run_bench(cfg: &SocConfig, path: &str) -> Result<(), String> {
     const REPS: usize = 5;
     let mut prepared = Vec::new();
@@ -178,42 +139,29 @@ fn run_bench(cfg: &SocConfig, path: &str) -> Result<(), String> {
         let masters = MasterRanges::derive(&soc.fabric.dma, None);
         prepared.push((w.image, masters, w.name));
     }
-    let mut blocks = 0usize;
-    let mut best = std::time::Duration::MAX;
-    for rep in 0..REPS {
-        let t0 = std::time::Instant::now();
-        let mut seen = 0usize;
-        for (image, masters, name) in &prepared {
-            let a = audo_analyze::analyze(image, cfg, masters, name);
-            let sol = constprop::solve(&a.cfg);
-            let model = CostModel::new(cfg.cpu.clone(), wcet::soc_mem_costs(cfg));
-            let report = wcet::analyze_wcet(&a.cfg, &sol, &model, CSA_AREAS, name);
-            seen += a.cfg.blocks.len();
-            std::hint::black_box(&report);
-        }
-        let dt = t0.elapsed();
-        if rep == 0 {
-            blocks = seen;
-        }
-        best = best.min(dt);
-    }
-    // reason: perf artifact, not a deterministic export
-    #[allow(clippy::cast_precision_loss)]
-    let per_sec = blocks as f64 / best.as_secs_f64().max(1e-9);
-    let body = format!(
-        "{{\n  \"bench\": \"analyze_blocks\",\n  \
-         \"note\": \"static analyzer throughput: CFG recovery, access \
-         classification, hazards, rate prediction and WCET/CSA bounds over \
-         the three named workloads; best of {REPS} reps; single-CPU \
-         container\",\n  \
-         \"blocks\": {blocks},\n  \"wall_ns\": {},\n  \
-         \"blocks_per_sec\": {per_sec:.1}\n}}\n",
-        best.as_nanos(),
-    );
-    std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
+    let (ns, blocks) = measure(REPS, &["pass"], |_| {
+        time(|| {
+            let mut blocks = 0u64;
+            for (image, masters, name) in &prepared {
+                let a = audo_analyze::analyze(image, cfg, masters, name);
+                let sol = constprop::solve(&a.cfg);
+                let model = CostModel::new(cfg.cpu.clone(), wcet::soc_mem_costs(cfg));
+                let report = wcet::analyze_wcet(&a.cfg, &sol, &model, CSA_AREAS, name);
+                blocks += a.cfg.blocks.len() as u64;
+                std::hint::black_box(&report);
+            }
+            blocks
+        })
+    })?;
+    let mut doc = BenchDoc::new("analyze_blocks", 1, REPS);
+    doc.row("analyze", "pass", blocks, "block", &ns[0]);
+    doc.write(path)?;
+    let row = &doc.rows[0];
     eprintln!(
-        "analyze: {blocks} blocks in {:.3}s ({per_sec:.0} blocks/sec)",
-        best.as_secs_f64()
+        "analyze: {} blocks in {:.3}s ({:.0} blocks/sec)",
+        row.work,
+        row.ns.median / 1e9,
+        row.per_sec()
     );
     eprintln!("wrote {path}");
     Ok(())
@@ -367,11 +315,5 @@ fn run() -> Result<i32, String> {
 }
 
 fn main() {
-    match run() {
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("analyze: {e}");
-            std::process::exit(2);
-        }
-    }
+    cli::main_with("analyze", 2, run);
 }

@@ -27,10 +27,12 @@
 //!
 //! Exit status: 0 clean, 1 error, 2 at least one unit was vetoed.
 
-use std::time::Instant;
+use std::time::Duration;
 
+use audo_bench::cli::{self, parse_u64};
+use audo_bench::harness::{time, BenchDoc};
 use audo_bench::{default_jobs, export_schedule_obs, run_jobs, wall_summary};
-use audo_fleet::{fold, plan, FleetOptions, FleetReport};
+use audo_fleet::{fold, plan, FleetOptions};
 
 struct Args {
     opts: FleetOptions,
@@ -38,15 +40,6 @@ struct Args {
     json: bool,
     trace: Option<String>,
     bench_json: Option<String>,
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    parsed.map_err(|_| format!("not a number: {s:?}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -106,42 +99,14 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn write_bench_json(
-    path: &str,
-    report: &FleetReport,
-    jobs: usize,
-    run_secs: f64,
-) -> Result<(), String> {
-    let sessions = report.total_sessions();
-    #[allow(clippy::cast_precision_loss)] // reason: perf artifact, not a deterministic export
-    let body = format!(
-        "{{\n  \"bench\": \"fleet_sessions\",\n  \
-         \"note\": \"fleet calibration throughput; wall time of the shard run only \
-         (cohort build excluded); single-CPU container\",\n  \
-         \"sessions\": {},\n  \"jobs\": {},\n  \"shards\": {},\n  \
-         \"total_cycles\": {},\n  \"wall_ns\": {},\n  \
-         \"sessions_per_sec\": {:.1},\n  \"sim_cycles_per_sec\": {:.0}\n}}\n",
-        sessions,
-        jobs,
-        report.shard_cycles.len(),
-        report.total_cycles(),
-        (run_secs * 1e9) as u64,
-        sessions as f64 / run_secs.max(1e-9),
-        report.total_cycles() as f64 / run_secs.max(1e-9),
-    );
-    std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))
-}
-
 fn run() -> Result<i32, String> {
     let args = parse_args()?;
 
-    let t_plan = Instant::now();
-    let plan = plan(args.opts.clone());
-    let plan_secs = t_plan.elapsed().as_secs_f64();
+    let (plan_ns, plan) = time(|| plan(args.opts.clone()));
+    let plan_secs = Duration::from_nanos(plan_ns).as_secs_f64();
 
-    let t_run = Instant::now();
-    let timed = run_jobs(plan.shard_count(), args.jobs, |s| plan.run_shard(s));
-    let run_elapsed = t_run.elapsed();
+    let (run_ns, timed) = time(|| run_jobs(plan.shard_count(), args.jobs, |s| plan.run_shard(s)));
+    let run_elapsed = Duration::from_nanos(run_ns);
     let run_secs = run_elapsed.as_secs_f64();
 
     let outcomes: Vec<_> = timed.iter().map(|j| j.output.clone()).collect();
@@ -181,7 +146,16 @@ fn run() -> Result<i32, String> {
         );
     }
     if let Some(path) = &args.bench_json {
-        write_bench_json(path, &report, args.jobs, run_secs)?;
+        let mut doc = BenchDoc::new("fleet_sessions", args.jobs, 1);
+        doc.row(
+            "fleet",
+            "run",
+            report.total_sessions(),
+            "session",
+            &[run_ns],
+        );
+        doc.row("fleet", "run", report.total_cycles(), "cycle", &[run_ns]);
+        doc.write(path)?;
         eprintln!("wrote {path}");
     }
 
@@ -189,11 +163,5 @@ fn run() -> Result<i32, String> {
 }
 
 fn main() {
-    match run() {
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("fleet: {e}");
-            std::process::exit(1);
-        }
-    }
+    cli::main_with("fleet", 1, run);
 }

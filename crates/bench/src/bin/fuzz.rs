@@ -37,11 +37,11 @@
 //!
 //! Exit status: 0 clean, 1 error, 2 at least one divergence.
 
-use std::time::Instant;
-
-use audo_bench::json::json_escape;
+use audo_bench::cli::{self, parse_u64};
+use audo_bench::harness::{time, BenchDoc};
 use audo_bench::{default_jobs, run_jobs};
 use audo_fuzz::{run_fuzz, CaseResult, FuzzOptions, FuzzReport};
+use audo_obs::chrome::json_escape;
 use audo_tricore::opcodes::opcode_by_name;
 
 struct Args {
@@ -50,15 +50,6 @@ struct Args {
     json: bool,
     bench_json: Option<String>,
     metrics_out: Option<String>,
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    parsed.map_err(|_| format!("not a number: {s:?}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -158,15 +149,16 @@ fn run() -> Result<i32, String> {
     let args = parse_args()?;
     let jobs = args.jobs.max(1);
 
-    let t_run = Instant::now();
-    let report = run_fuzz(&args.opts, |count, case| {
-        run_jobs(count, jobs, case)
-            .into_iter()
-            .map(|t| t.output)
-            .collect::<Vec<CaseResult>>()
-    })
-    .map_err(|e| e.to_string())?;
-    let run_secs = t_run.elapsed().as_secs_f64();
+    let (run_ns, report) = time(|| {
+        run_fuzz(&args.opts, |count, case| {
+            run_jobs(count, jobs, case)
+                .into_iter()
+                .map(|t| t.output)
+                .collect::<Vec<CaseResult>>()
+        })
+    });
+    let report = report.map_err(|e| e.to_string())?;
+    let run_secs = std::time::Duration::from_nanos(run_ns).as_secs_f64();
 
     if args.json {
         print!("{}", report_json(&report));
@@ -192,19 +184,10 @@ fn run() -> Result<i32, String> {
         );
     }
     if let Some(path) = &args.bench_json {
-        #[allow(clippy::cast_precision_loss)] // reason: perf artifact, not a deterministic export
-        let body = format!(
-            "{{\n  \"bench\": \"fuzz_programs\",\n  \
-             \"note\": \"differential fuzz throughput; each program runs up to four tier \
-             configurations plus MCDS encode/decode; single-CPU container\",\n  \
-             \"programs\": {programs},\n  \"jobs\": {jobs},\n  \
-             \"retired_instructions\": {},\n  \"wall_ns\": {},\n  \
-             \"programs_per_sec\": {:.1}\n}}\n",
-            report.retired_total,
-            (run_secs * 1e9) as u64,
-            programs as f64 / run_secs.max(1e-9),
-        );
-        std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
+        let mut doc = BenchDoc::new("fuzz_programs", jobs, 1);
+        doc.row("fuzz", "run", programs, "program", &[run_ns]);
+        doc.row("fuzz", "run", report.retired_total, "instr", &[run_ns]);
+        doc.write(path)?;
         eprintln!("wrote {path}");
     }
 
@@ -212,11 +195,5 @@ fn run() -> Result<i32, String> {
 }
 
 fn main() {
-    match run() {
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("fuzz: {e}");
-            std::process::exit(1);
-        }
-    }
+    cli::main_with("fuzz", 1, run);
 }

@@ -29,19 +29,6 @@
 //!
 //!   --compare A.json B.json   differential mode: print the per-block
 //!                             delta table between two --json documents
-//!
-//!   --overhead-json PATH      overhead mode: re-time the micro-workload
-//!                             suites with profiling off and on, compare
-//!                             the off timings against the recorded
-//!                             fast-path baselines, and write the result
-//!                             (the profiling-off geomean must stay
-//!                             within 2% of baseline)
-//!   --iss-baseline PATH       fast_ns baseline for the ISS leg
-//!                             (default: BENCH_iss.json)
-//!   --pipeline-baseline PATH  fast_ns baseline for the pipeline leg
-//!                             (default: BENCH_pipeline.json)
-//!   --reps N                  best-of repetitions in overhead mode
-//!                             (default: 5)
 //! ```
 //!
 //! Every report is a pure function of the workload and tier: byte
@@ -51,26 +38,22 @@
 //! the pipeline's `retire + Σ stalls == cycles` totals — and fails hard
 //! if it does not hold.
 //!
-//! Exit status: 0 success, 1 the overhead gate regressed beyond 2%,
-//! 2 invalid command line / file error / attribution-check failure.
-
-use std::time::Instant;
+//! The cost of profiling itself is measured by `tier_bench`.
+//!
+//! Exit status: 0 success, 2 invalid command line / file error /
+//! attribution-check failure.
 
 use audo_analyze::{cfg, symbols};
+use audo_bench::cli::{self, build_config, build_workload};
 use audo_bench::scheduler;
-use audo_common::{Addr, Cycle, EventSink, SimError, SourceId};
+use audo_common::{Addr, SimError};
 use audo_obs::profile::{flame_stacks, render_annotated, render_hot_blocks, ProfileDoc};
 use audo_obs::FoldedStacks;
 use audo_platform::config::{SocConfig, DSPR_BASE, PERIPH_BASE};
 use audo_platform::Soc;
-use audo_tricore::arch::init_csa_list;
-use audo_tricore::bus::TestBus;
 use audo_tricore::disasm::disassemble_range;
 use audo_tricore::iss::Iss;
-use audo_tricore::{Core, CoreConfig};
-use audo_workloads::engine::{engine_control, EngineParams};
-use audo_workloads::micro::{div_kernel, mac_kernel, random_mix, stream_copy};
-use audo_workloads::{variants, Workload};
+use audo_workloads::Workload;
 
 struct Args {
     workloads: Vec<String>,
@@ -82,10 +65,6 @@ struct Args {
     flame_out: Option<String>,
     jobs: usize,
     compare: Option<(String, String)>,
-    overhead_json: Option<String>,
-    iss_baseline: String,
-    pipeline_baseline: String,
-    reps: u32,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -99,10 +78,6 @@ fn parse_args() -> Result<Args, String> {
         flame_out: None,
         jobs: scheduler::default_jobs(),
         compare: None,
-        overhead_json: None,
-        iss_baseline: "BENCH_iss.json".to_string(),
-        pipeline_baseline: "BENCH_pipeline.json".to_string(),
-        reps: 5,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -143,29 +118,11 @@ fn parse_args() -> Result<Args, String> {
                 let b = it.next().ok_or("--compare needs two paths")?;
                 args.compare = Some((a, b));
             }
-            "--overhead-json" => {
-                args.overhead_json = Some(it.next().ok_or("--overhead-json needs a path")?);
-            }
-            "--iss-baseline" => {
-                args.iss_baseline = it.next().ok_or("--iss-baseline needs a path")?;
-            }
-            "--pipeline-baseline" => {
-                args.pipeline_baseline = it.next().ok_or("--pipeline-baseline needs a path")?;
-            }
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .ok_or("--reps needs a count")?
-                    .parse()
-                    .map_err(|_| "--reps must be an integer")?;
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: profile [--workload SPEC[,SPEC..]] [--config tc1797|tc1767] \
                      [--tier iss|pipeline] [--top N] [--annotate] [--json PATH] \
-                     [--flame-out PATH] [--jobs N] | --compare A.json B.json | \
-                     --overhead-json PATH [--iss-baseline PATH] [--pipeline-baseline PATH] \
-                     [--reps N]"
+                     [--flame-out PATH] [--jobs N] | --compare A.json B.json"
                 );
                 std::process::exit(0);
             }
@@ -176,44 +133,6 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("unknown tier {:?} (iss, pipeline)", args.tier));
     }
     Ok(args)
-}
-
-fn build_workload(spec: &str) -> Result<Workload, String> {
-    let (name, flags) = match spec.split_once(':') {
-        Some((n, f)) => (n, f),
-        None => (spec, ""),
-    };
-    match name {
-        "engine" => {
-            let mut p = EngineParams::default();
-            for flag in flags.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                match flag {
-                    "dspr-tables" => p.tables_in_dspr = true,
-                    "pspr-isrs" => p.isrs_in_pspr = true,
-                    "pcp-can" => p.can_on_pcp = true,
-                    "dspr-bg" => {
-                        p.bg_in_dspr = true;
-                        p.tables_in_dspr = true; // required by the knob
-                    }
-                    other => return Err(format!("unknown engine flag {other:?}")),
-                }
-            }
-            Ok(engine_control(&p))
-        }
-        "transmission" => Ok(variants::transmission_control(10)),
-        "chassis" => Ok(variants::chassis_monitor(40, 2_000)),
-        other => Err(format!(
-            "unknown workload {other:?} (engine, transmission, chassis)"
-        )),
-    }
-}
-
-fn build_config(name: &str) -> Result<SocConfig, String> {
-    match name {
-        "tc1797" => Ok(SocConfig::tc1797()),
-        "tc1767" => Ok(SocConfig::tc1767()),
-        other => Err(format!("unknown config {other:?} (tc1797, tc1767)")),
-    }
 }
 
 /// Everything one profiled workload run produces, ready to print.
@@ -379,218 +298,12 @@ fn run_compare(a_path: &str, b_path: &str, top: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Extracts `(name, fast_ns)` pairs from a `BENCH_*.json` baseline.
-/// The files are our own hand-written format, so a line scan suffices.
-fn read_baseline(path: &str) -> Result<Vec<(String, u128)>, String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("could not read baseline {path}: {e}"))?;
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let name: String = line[name_at + 9..]
-            .chars()
-            .take_while(|&c| c != '"')
-            .collect();
-        let fast_at = line
-            .find("\"fast_ns\": ")
-            .ok_or_else(|| format!("baseline {path}: workload line without fast_ns"))?;
-        let digits: String = line[fast_at + 11..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        let ns = digits
-            .parse::<u128>()
-            .map_err(|_| format!("baseline {path}: bad fast_ns for {name}"))?;
-        out.push((name, ns));
-    }
-    if out.is_empty() {
-        return Err(format!("baseline {path}: no workloads found"));
-    }
-    Ok(out)
-}
-
-/// Best-of-`reps` wall time of `Iss::run_resumable` alone on the fast
-/// path, with block profiling on or off.
-fn time_iss(w: &Workload, profiling: bool, reps: u32) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let mut iss = Iss::new();
-        iss.map_region(Addr(0x8000_0000), 0x4_0000);
-        iss.map_region(Addr(0x9000_0000), 0x2_0000);
-        iss.map_region(Addr(0xD000_0000), 0x2_0000);
-        iss.init_csa(Addr(0xD000_8000), 64).unwrap();
-        iss.load(&w.image).unwrap();
-        iss.set_fast_path(true);
-        iss.set_profile_observation(profiling);
-        let t0 = Instant::now();
-        iss.run_resumable(50_000_000).expect("workload completes");
-        best = best.min(t0.elapsed().as_nanos().max(1));
-    }
-    best
-}
-
-/// Best-of-`reps` wall time of the pipeline stepping loop alone on the
-/// fast path (observation off), with block profiling on or off.
-fn time_pipeline(w: &Workload, profiling: bool, reps: u32) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let mut bus = TestBus::new();
-        bus.mem.add_region(Addr(0x8000_0000), 0x4_0000);
-        bus.mem.add_region(Addr(0x9000_0000), 0x2_0000);
-        bus.mem.add_region(Addr(0xD000_0000), 0x2_0000);
-        w.image.load_into(&mut bus.mem).expect("image fits");
-        let mut core = Core::new(CoreConfig::default(), w.image.entry(), SourceId::TRICORE);
-        core.set_fast_path(true);
-        core.set_profile_observation(profiling);
-        core.arch_mut().fcx = init_csa_list(&mut bus.mem, Addr(0xD000_8000), 64).unwrap();
-        let mut sink = EventSink::new();
-        sink.set_enabled(false);
-        let t0 = Instant::now();
-        let mut cyc = 0u64;
-        while !core.is_halted() {
-            core.step(Cycle(cyc), &mut bus, None, &mut sink)
-                .expect("no fault");
-            cyc += 1;
-        }
-        best = best.min(t0.elapsed().as_nanos().max(1));
-    }
-    best
-}
-
-struct OverheadRow {
-    tier: &'static str,
-    name: String,
-    baseline_ns: u128,
-    disabled_ns: u128,
-    enabled_ns: u128,
-}
-
-impl OverheadRow {
-    fn disabled_regression(&self) -> f64 {
-        self.disabled_ns as f64 / self.baseline_ns as f64
-    }
-    fn enabled_overhead(&self) -> f64 {
-        self.enabled_ns as f64 / self.disabled_ns as f64
-    }
-}
-
-/// Overhead mode: re-times both micro-workload suites with profiling off
-/// and on, gates the off timings against the recorded fast-path
-/// baselines (geomean ≤ 1.02), and writes `BENCH_profile.json`.
-fn run_overhead(args: &Args, path: &str) -> Result<i32, String> {
-    let iss_base = read_baseline(&args.iss_baseline)?;
-    let pipe_base = read_baseline(&args.pipeline_baseline)?;
-    let lookup = |base: &[(String, u128)], which: &str, name: &str| -> Result<u128, String> {
-        base.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, ns)| *ns)
-            .ok_or_else(|| format!("baseline {which} has no workload {name:?}"))
-    };
-
-    let mut rows = Vec::new();
-    for w in [
-        mac_kernel(20_000),
-        stream_copy(20_000),
-        div_kernel(5_000),
-        random_mix(7, 400, 400),
-    ] {
-        rows.push(OverheadRow {
-            tier: "iss",
-            baseline_ns: lookup(&iss_base, &args.iss_baseline, &w.name)?,
-            disabled_ns: time_iss(&w, false, args.reps),
-            enabled_ns: time_iss(&w, true, args.reps),
-            name: w.name,
-        });
-    }
-    for w in [
-        mac_kernel(200_000),
-        stream_copy(25_000),
-        div_kernel(50_000),
-        random_mix(7, 400, 1_000),
-    ] {
-        rows.push(OverheadRow {
-            tier: "pipeline",
-            baseline_ns: lookup(&pipe_base, &args.pipeline_baseline, &w.name)?,
-            disabled_ns: time_pipeline(&w, false, args.reps),
-            enabled_ns: time_pipeline(&w, true, args.reps),
-            name: w.name,
-        });
-    }
-
-    let mut disabled_lnsum = 0.0f64;
-    let mut enabled_lnsum = 0.0f64;
-    for r in &rows {
-        disabled_lnsum += r.disabled_regression().ln();
-        enabled_lnsum += r.enabled_overhead().ln();
-        println!(
-            "{:<9} {:<14} off {:>6.3}x of baseline   on {:>6.3}x of off",
-            r.tier,
-            r.name,
-            r.disabled_regression(),
-            r.enabled_overhead()
-        );
-    }
-    let n = rows.len() as f64;
-    let geo_disabled = (disabled_lnsum / n).exp();
-    let geo_enabled = (enabled_lnsum / n).exp();
-    let within = geo_disabled <= 1.02;
-    println!(
-        "geomean: profiling-off {geo_disabled:.3}x of baseline ({}), profiling-on {geo_enabled:.3}x of off",
-        if within { "within 2%" } else { "REGRESSED >2%" }
-    );
-
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"profile_overhead\",\n");
-    out.push_str(&format!("  \"reps\": {},\n", args.reps));
-    out.push_str(&format!(
-        "  \"iss_baseline\": \"{}\",\n  \"pipeline_baseline\": \"{}\",\n",
-        args.iss_baseline, args.pipeline_baseline
-    ));
-    out.push_str(
-        "  \"note\": \"block profiling disabled vs the recorded fast-path baselines, and \
-         enabled vs disabled; best-of-reps wall time of the run loop only; single-CPU \
-         container\",\n",
-    );
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tier\": \"{}\", \"name\": \"{}\", \"baseline_fast_ns\": {}, \
-             \"disabled_ns\": {}, \"enabled_ns\": {}, \"disabled_regression\": {:.4}, \
-             \"enabled_overhead\": {:.4}}}{}\n",
-            r.tier,
-            r.name,
-            r.baseline_ns,
-            r.disabled_ns,
-            r.enabled_ns,
-            r.disabled_regression(),
-            r.enabled_overhead(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"geomean_disabled_regression\": {geo_disabled:.4},\n"
-    ));
-    out.push_str(&format!(
-        "  \"geomean_enabled_overhead\": {geo_enabled:.4},\n"
-    ));
-    out.push_str(&format!("  \"disabled_within_2pct\": {within}\n}}\n"));
-    std::fs::write(path, out).map_err(|e| format!("could not write {path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(i32::from(!within))
-}
-
 fn run() -> Result<i32, String> {
     let args = parse_args()?;
 
     if let Some((a, b)) = &args.compare {
         run_compare(a, b, args.top)?;
         return Ok(0);
-    }
-    if let Some(path) = args.overhead_json.clone() {
-        return run_overhead(&args, &path);
     }
 
     if args.json.is_some() && args.workloads.len() > 1 {
@@ -634,11 +347,5 @@ fn run() -> Result<i32, String> {
 }
 
 fn main() {
-    match run() {
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("profile: {e}");
-            std::process::exit(2);
-        }
-    }
+    cli::main_with("profile", 2, run);
 }

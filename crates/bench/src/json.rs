@@ -9,27 +9,9 @@
 
 use std::fmt::Write as _;
 
-use crate::experiments::TimedReport;
+use audo_obs::chrome::json_escape;
 
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::experiments::TimedReport;
 
 /// Renders a report's observability registry as a JSON object (counters
 /// then gauges, each in sorted name order). Returns `None` when there is

@@ -10,10 +10,13 @@
 
 use std::sync::OnceLock;
 
+pub mod cli;
 pub mod experiments;
+pub mod harness;
 pub mod json;
 pub mod report;
 pub mod scheduler;
+pub mod tiers;
 
 pub use experiments::*;
 pub use report::{Check, Report};

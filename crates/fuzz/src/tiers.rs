@@ -274,7 +274,8 @@ fn wcet_divergence(image: &Image, max_cycles: u64) -> Option<String> {
 
 /// Encodes an event stream through a fully armed MCDS (program trace
 /// plus an instruction-rate probe) and returns the raw trace bytes.
-fn mcds_trace_bytes(events: &[EventRecord]) -> Vec<u8> {
+#[must_use]
+pub fn mcds_trace_bytes(events: &[EventRecord]) -> Vec<u8> {
     let mut mcds = Mcds::builder()
         .program_trace()
         .probe(RateProbe {

@@ -2,40 +2,23 @@
 # Perf-trajectory driver: runs the Criterion suites and regenerates the
 # machine-readable BENCH_*.json points. Run from anywhere.
 #
-# Wall-clock numbers measure *the simulator on this host*, not the modeled
-# silicon. The container pinning this repo is single-CPU, so expect noisy
-# absolute numbers; the recorded speedups are best-of-N ratios, which are
-# far more stable than the raw times.
+# Wall-clock numbers measure *the simulator on this host*, not the
+# modeled silicon. Every committed BENCH_*.json records the git revision
+# and the host's parallelism (`nproc`) next to median, min and MAD wall
+# times; compare ratios measured in one process, not absolute times
+# across runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> criterion: cargo bench -p audo-bench"
 cargo bench -p audo-bench --bench paper
-cargo bench -p audo-bench --bench iss_throughput
 
-echo "==> BENCH_iss.json (ISS decode-cache fast path speedup)"
-cargo run --release -q -p audo-bench --bin iss_bench -- --json BENCH_iss.json
-
-echo "==> BENCH_obs.json (instrumentation overhead vs the fresh baseline)"
-# Runs right after BENCH_iss.json so baseline and measurement share the
-# same machine state; the instrumentation-disabled fast path must stay
-# within 2% (geomean) of the recorded baseline.
-cargo run --release -q -p audo-bench --bin iss_bench -- \
-    --obs-json BENCH_obs.json --baseline BENCH_iss.json
-
-echo "==> BENCH_pipeline.json (pipeline predecoded fast path speedup)"
-# Verifies cycle-identity between the cached and uncached pipeline before
-# timing anything, then records best-of-reps speedups per workload.
-cargo run --release -q -p audo-bench --bin pipeline_bench -- --json BENCH_pipeline.json
-
-echo "==> BENCH_profile.json (block-profiling overhead vs the fresh baselines)"
-# Runs right after the ISS and pipeline baselines so all three share the
-# same machine state. The profiling-off fast paths must stay within 2%
-# (geomean) of the recorded baselines; the profiling-on cost is recorded
-# as the measured overhead of the always-on sampling profiler.
-cargo run --release -q -p audo-bench --bin profile -- \
-    --overhead-json BENCH_profile.json \
-    --iss-baseline BENCH_iss.json --pipeline-baseline BENCH_pipeline.json
+echo "==> BENCH_tiers.json (ISS and pipeline fast paths, instrumentation overhead)"
+# Verifies pipeline cycle-identity before timing, then interleaves every
+# variant of each tier in one process and gates the same-run ratios: the
+# fast paths must be faster, and mix counting and block profiling must
+# cost within their bands. A gate failure exits 1 and stops the script.
+cargo run --release -q -p audo-bench --bin tier_bench -- --json BENCH_tiers.json
 
 echo "==> BENCH_experiments.json (paper experiment timings)"
 cargo run --release -q -p audo-bench --bin experiments -- --json BENCH_experiments.json

@@ -81,6 +81,36 @@ if grep -nE 'std::time::' "${det_files[@]}" | grep -v 'std::time::Duration'; the
     exit 1
 fi
 
+echo "==> bench artifact gate: every committed BENCH_*.json has the shared schema"
+# The perf artifacts are host measurements, so no value is checked here
+# (tier_bench gates its own same-run ratios); this pins the one schema
+# audo_bench::harness writes, without reading the clock.
+python3 - <<'EOF'
+import json, subprocess, sys
+files = subprocess.run(["git", "ls-files", "BENCH_*.json"], check=True,
+                       capture_output=True, text=True).stdout.split()
+assert files, "no committed BENCH_*.json"
+top = {"bench": str, "rev": str, "nproc": int, "jobs": int, "reps": int,
+       "rows": list, "ratios": list}
+keys = {"rows": ("name", "variant", "work", "unit", "median_ns", "min_ns",
+                 "mad_ns", "per_sec"),
+        "ratios": ("name", "of", "over", "median", "mad")}
+bad = []
+for f in files:
+    doc = json.load(open(f))
+    bad += [f"{f}: {k!r} missing or not {t.__name__}"
+            for k, t in top.items() if not isinstance(doc.get(k), t)]
+    if not doc.get("rows"):
+        bad.append(f"{f}: no rows")
+    for part, want in keys.items():
+        for i, item in enumerate(doc.get(part) or []):
+            bad += [f"{f}: {part}[{i}] missing {k!r}" for k in want if k not in item]
+if bad:
+    print("bench artifact schema violations:", *bad, sep="\n  ", file=sys.stderr)
+    sys.exit(1)
+print(f"bench artifacts valid: {', '.join(files)}")
+EOF
+
 echo "==> allow-audit gate: every #[allow(..)] carries a // reason: comment"
 # Lint suppressions must say why they are sound, on the same line or the
 # line directly above, so stale ones are visible in review.

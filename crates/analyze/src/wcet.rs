@@ -689,7 +689,7 @@ pub fn code_stamps<B: CoreBus>(cfg: &Cfg, bus: &B) -> BTreeMap<u32, u64> {
 /// code) and are skipped, never checked against a stale bound.
 ///
 /// The tiers carve their own blocks (capped at
-/// [`audo_tricore::pipeline::MAX_BLOCK_LEN`], split on runtime events),
+/// [`audo_tricore::decode_cache::MAX_BLOCK_LEN`], split on runtime events),
 /// so measured block boundaries need not match static ones; the check
 /// therefore prices a measured block at `instructions × max instruction
 /// cost over its address span`. `irqs_accepted` loosens each per-block

@@ -5,7 +5,7 @@
 //! 1. Every corpus program assembles and its image hashes to a pinned
 //!    value (`golden/corpus_hashes.txt`). Regenerate after intentional
 //!    corpus or encoder changes with:
-//!    `ASM_GOLDEN_REGEN=1 cargo test -p audo-asm --test corpus_golden`
+//!    `GOLDEN_REGEN=1 cargo test -p audo-asm --test corpus_golden`
 //! 2. Every decodable instruction in every corpus image round-trips
 //!    through the disassembler *semantically*: its printed form
 //!    reassembles (at the same address) to the same [`Instr`]. Byte
@@ -59,18 +59,7 @@ fn corpus_images_match_pinned_hashes() {
         .map(|e| format!("{} {:016x}", e.file_name, image_hash(&e.image)))
         .collect();
     let rendered = format!("{}\n", actual.join("\n"));
-    if std::env::var_os("ASM_GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(golden_path().parent().unwrap()).unwrap();
-        std::fs::write(golden_path(), rendered).unwrap();
-        return;
-    }
-    let pinned = std::fs::read_to_string(golden_path())
-        .expect("golden/corpus_hashes.txt exists (run with ASM_GOLDEN_REGEN=1 to create)");
-    assert_eq!(
-        pinned, rendered,
-        "corpus image hashes drifted; if intentional, regenerate with \
-         ASM_GOLDEN_REGEN=1 cargo test -p audo-asm --test corpus_golden"
-    );
+    audo_common::golden::check(&golden_path(), &rendered);
 }
 
 #[test]

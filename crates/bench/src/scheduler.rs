@@ -27,15 +27,10 @@
 //!   in fleet order). This view depends only on the jobs' simulated
 //!   costs, so it is byte-identical for any `--jobs` and any host.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Default worker-pool size: the machine's available parallelism.
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
+pub use audo_profiler::par::max_workers as default_jobs;
 
 /// One finished job: the closure's output plus its wall-clock timings.
 #[derive(Debug, Clone)]
@@ -131,19 +126,18 @@ pub fn export_schedule_obs(reg: &mut audo_obs::Registry, prefix: &str, track: u3
 }
 
 /// Runs `count` indexed jobs on up to `jobs` worker threads and returns
-/// the timed results in index order.
-///
-/// Work is handed out through a shared atomic cursor, so an expensive job
-/// never blocks cheap ones behind it; results land in per-index slots, so
-/// completion order cannot leak into the output. With `jobs <= 1` (or a
-/// single job) everything runs inline on the caller's thread.
+/// the timed results in index order: a timing wrapper over
+/// [`audo_profiler::par::par_map_indexed`], whose atomic work cursor and
+/// per-index result slots keep completion order out of the output. With
+/// `jobs <= 1` (or a single job) everything runs inline on the caller's
+/// thread.
 pub fn run_jobs<T, F>(count: usize, jobs: usize, run: F) -> Vec<TimedJob<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let t0 = Instant::now();
-    let timed = |i: usize| {
+    audo_profiler::par::par_map_indexed(count, jobs, |i| {
         let queue_wait = t0.elapsed();
         let start = Instant::now();
         let output = run(i);
@@ -152,38 +146,13 @@ where
             duration: start.elapsed(),
             queue_wait,
         }
-    };
-    let workers = jobs.max(1).min(count);
-    if workers <= 1 {
-        return (0..count).map(timed).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<TimedJob<T>>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let out = timed(i);
-                *slots[i].lock().expect("job slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("job slot poisoned")
-                .expect("every index was claimed and stored")
-        })
-        .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_submission_order() {

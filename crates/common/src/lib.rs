@@ -15,6 +15,8 @@
 //!   the product-chip components and the observation hardware.
 //! * [`varint`] — the variable-length integer codec used by the trace
 //!   message protocol.
+//! * [`splitmix64`] — the one mixing function behind every seeded stream.
+//! * [`golden`] — the golden-file check shared by every golden test.
 //!
 //! # Examples
 //!
@@ -31,9 +33,12 @@
 
 pub mod error;
 pub mod events;
+pub mod golden;
+pub mod rng;
 pub mod types;
 pub mod varint;
 
 pub use error::SimError;
 pub use events::{AccessKind, BusTransaction, EventRecord, EventSink, PerfEvent, SourceId};
+pub use rng::splitmix64;
 pub use types::{Addr, ByteSize, Cycle, Freq};

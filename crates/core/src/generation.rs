@@ -110,12 +110,13 @@ where
     F: Fn(&SocConfig, usize) -> Result<u64, SimError> + Sync,
 {
     // Per-workload option studies.
-    let studies = crate::par::par_map_indexed(workload_names.len(), |i| {
-        evaluate_options(baseline, options, cost_model, None, |cfg| runner(cfg, i))
-            .map(|study| (workload_names[i].clone(), study))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+    let studies =
+        crate::par::par_map_indexed(workload_names.len(), crate::par::max_workers(), |i| {
+            evaluate_options(baseline, options, cost_model, None, |cfg| runner(cfg, i))
+                .map(|study| (workload_names[i].clone(), study))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let ranking = cross_workload_ranking(&studies, plan.regression_tolerance);
 
     // Greedy adoption: safe options by gain/cost, within budget and count.
@@ -136,17 +137,18 @@ where
 
     // Validate the combination (options can interact); one replay per
     // workload, again fanned out and collected in order.
-    let combined_speedups = crate::par::par_map_indexed(workload_names.len(), |i| {
-        let before = studies[i].1.baseline_cycles;
-        runner(&next_config, i).map(|after| {
-            (
-                workload_names[i].clone(),
-                before as f64 / after.max(1) as f64,
-            )
+    let combined_speedups =
+        crate::par::par_map_indexed(workload_names.len(), crate::par::max_workers(), |i| {
+            let before = studies[i].1.baseline_cycles;
+            runner(&next_config, i).map(|after| {
+                (
+                    workload_names[i].clone(),
+                    before as f64 / after.max(1) as f64,
+                )
+            })
         })
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(GenerationPlan {
         next_config,
         adopted,

@@ -17,17 +17,20 @@ pub fn max_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `count` jobs (`run(0)..run(count-1)`) on up to [`max_workers`]
-/// scoped threads and returns the results in index order.
+/// Runs `count` jobs (`run(0)..run(count-1)`) on up to `workers` scoped
+/// threads and returns the results in index order.
 ///
-/// Falls back to a plain sequential loop when `count < 2` or only one
-/// worker is available, so single-job callers pay no threading cost.
-pub fn par_map_indexed<T, F>(count: usize, run: F) -> Vec<T>
+/// Work is handed out through a shared atomic cursor, so an expensive job
+/// never blocks cheap ones behind it; results land in per-index slots, so
+/// completion order cannot leak into the output. Falls back to a plain
+/// sequential loop when `count < 2` or `workers <= 1`, so single-job
+/// callers pay no threading cost.
+pub fn par_map_indexed<T, F>(count: usize, workers: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = max_workers().min(count);
+    let workers = workers.min(count);
     if workers <= 1 {
         return (0..count).map(run).collect();
     }
@@ -55,14 +58,15 @@ where
         .collect()
 }
 
-/// Maps `run` over `items` in parallel, preserving order.
+/// Maps `run` over `items` on up to [`max_workers`] threads, preserving
+/// order.
 pub fn par_map<T, U, F>(items: &[T], run: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_indexed(items.len(), |i| run(&items[i]))
+    par_map_indexed(items.len(), max_workers(), |i| run(&items[i]))
 }
 
 #[cfg(test)]
@@ -71,7 +75,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_index_order() {
-        let out = par_map_indexed(64, |i| {
+        let out = par_map_indexed(64, 8, |i| {
             // Stagger finish times so out-of-order completion is likely.
             std::thread::sleep(std::time::Duration::from_micros(((i * 7) % 13) as u64));
             i * 10
@@ -81,8 +85,8 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        assert_eq!(par_map_indexed(0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, |i| i + 5), vec![5]);
+        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(par_map_indexed(1, 4, |i| i + 5), vec![5]);
     }
 
     #[test]
@@ -94,7 +98,7 @@ mod tests {
 
     #[test]
     fn errors_surface_per_index() {
-        let out = par_map_indexed(10, |i| if i % 3 == 0 { Err(i) } else { Ok(i) });
+        let out = par_map_indexed(10, 3, |i| if i % 3 == 0 { Err(i) } else { Ok(i) });
         assert_eq!(out[0], Err(0));
         assert_eq!(out[1], Ok(1));
         assert_eq!(out[9], Err(9));

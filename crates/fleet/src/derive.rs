@@ -9,17 +9,9 @@
 //! any `--jobs`, in any session order, which is what makes a fleet run
 //! replayable (and a vetoed unit chaseable by seed alone).
 
-use crate::cohort;
+pub use audo_common::splitmix64;
 
-/// The splitmix64 output mix (Steele, Lea & Flood; the standard
-/// `SplitMix64` finalizer). Good avalanche from a weak input.
-#[must_use]
-pub fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::cohort;
 
 /// Derives an independent value from a vehicle seed: `stream` selects
 /// which quantity (cohort, fault jitter, miscalibration draw, …) so the

@@ -2,19 +2,12 @@
 //!
 //! The fuzzer's reproducibility contract is that every case is a pure
 //! function of `(session seed, case index)`, so this module is the
-//! *only* entropy source in the crate: a splitmix64 generator (the same
-//! mix the fleet calibration service uses for per-unit seed
-//! derivation), with small sampling helpers on top. No OS randomness,
-//! no time, no hash-map iteration order.
+//! *only* entropy source in the crate: a generator stepped by
+//! [`audo_common::splitmix64`] (the mix the fleet calibration service
+//! uses for per-unit seed derivation), with small sampling helpers on
+//! top. No OS randomness, no time, no hash-map iteration order.
 
-/// The splitmix64 output mix (Steele, Lea & Flood).
-#[must_use]
-pub fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use audo_common::splitmix64;
 
 /// Derives the per-case seed from the session seed and the case index.
 ///
@@ -41,11 +34,9 @@ impl Rng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 
     /// Uniform value in `0..n`. `n` must be nonzero.

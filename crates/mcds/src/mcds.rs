@@ -1054,11 +1054,10 @@ mod timestamp_tests {
             }];
             mcds.observe(Cycle(c), &events, &[], &mut out);
         }
-        let stamps = crate::msg::decode_stream_shifted(&out, shift)
-            .unwrap()
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect();
+        let (msgs, err) =
+            crate::msg::decode_stream_lossy_shifted_sized(&out, shift, &mut Vec::new());
+        assert!(err.is_none(), "shifted stream decodes cleanly: {err:?}");
+        let stamps = msgs.into_iter().map(|(c, _)| c).collect();
         (out, stamps)
     }
 

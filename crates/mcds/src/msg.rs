@@ -274,23 +274,6 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<(Cycle, TraceMessage)>, SimErro
     }
 }
 
-/// Decodes a stream whose timestamps were encoded with
-/// [`Encoder::with_shift`]; returned cycles are quantized to `2^shift`.
-///
-/// # Errors
-///
-/// Returns [`SimError::DecodeTrace`] on malformed input.
-pub fn decode_stream_shifted(
-    bytes: &[u8],
-    shift: u8,
-) -> Result<Vec<(Cycle, TraceMessage)>, SimError> {
-    let (msgs, err) = decode_stream_inner(bytes, shift, None);
-    match err {
-        Some(e) => Err(e),
-        None => Ok(msgs),
-    }
-}
-
 /// Decodes as much of a (possibly truncated or overflow-damaged) stream as
 /// possible: returns every message up to the first malformed byte, plus the
 /// error that stopped decoding, if any.
@@ -299,17 +282,10 @@ pub fn decode_stream_lossy(bytes: &[u8]) -> (Vec<(Cycle, TraceMessage)>, Option<
     decode_stream_inner(bytes, 0, None)
 }
 
-/// Lossy decode with a timestamp shift (see [`Encoder::with_shift`]).
-#[must_use]
-pub fn decode_stream_lossy_shifted(
-    bytes: &[u8],
-    shift: u8,
-) -> (Vec<(Cycle, TraceMessage)>, Option<SimError>) {
-    decode_stream_inner(bytes, shift, None)
-}
-
-/// Lossy shifted decode that also reports each message's encoded size in
-/// bytes (header + timestamp + payload), in stream order — the input for
+/// Lossy decode of a stream whose timestamps were encoded with
+/// [`Encoder::with_shift`] (returned cycles are quantized to `2^shift`)
+/// that also reports each message's encoded size in bytes (header +
+/// timestamp + payload), in stream order — the input for
 /// wire-compression histograms. `sizes.len()` always equals the number of
 /// messages returned.
 #[must_use]

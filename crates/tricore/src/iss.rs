@@ -31,7 +31,7 @@
 use audo_common::{Addr, Cycle, EventRecord, EventSink, PerfEvent, SimError, SourceId};
 
 use crate::arch::{init_csa_list, ArchState};
-use crate::decode_cache::{CacheStats, CachedInstr, DecodeCache};
+use crate::decode_cache::{BlockCache, CacheStats, CachedInstr};
 use crate::encode::decode;
 use crate::exec::{execute, Outcome};
 use crate::image::Image;
@@ -101,7 +101,7 @@ pub struct Iss {
     instr_count: u64,
     debug_markers: Vec<u8>,
     halted: bool,
-    cache: Option<DecodeCache>,
+    cache: Option<BlockCache<CachedInstr>>,
     block_buf: Vec<CachedInstr>,
     events: EventSink,
     mix: Option<Box<[u64; InstrClass::COUNT]>>,
@@ -166,13 +166,7 @@ impl Iss {
     /// on starts with an empty cache. Either way the observable behaviour
     /// of [`Iss::run`] is unchanged — only its speed.
     pub fn set_fast_path(&mut self, enabled: bool) {
-        if enabled {
-            if self.cache.is_none() {
-                self.cache = Some(DecodeCache::new());
-            }
-        } else {
-            self.cache = None;
-        }
+        self.cache = enabled.then(|| self.cache.take().unwrap_or_default());
     }
 
     /// Whether the basic-block fast path is enabled.
@@ -184,7 +178,7 @@ impl Iss {
     /// Decode-cache hit/miss/invalidation counters, if the fast path is on.
     #[must_use]
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(DecodeCache::stats)
+        self.cache.as_ref().map(BlockCache::stats)
     }
 
     /// Enables or disables per-retirement event emission.
@@ -435,8 +429,8 @@ impl Iss {
         };
         let block_key = self.profile.as_deref_mut().map(|profile| {
             let key = audo_obs::profile::BlockKey {
-                region: region.0,
-                offset: pc.wrapping_sub(region.0),
+                region,
+                offset: pc.wrapping_sub(region),
                 generation,
             };
             profile.record_entry(key);
@@ -468,7 +462,7 @@ impl Iss {
             // A plain store may have rewritten instructions later in this
             // very block; if the code region's generation moved, bail to a
             // fresh lookup at the (already updated) architectural PC.
-            if ci.may_store && self.mem.generation(region) != Some(generation) {
+            if ci.may_store && self.mem.generation(Addr(region)) != Some(generation) {
                 return Ok(false);
             }
         }

@@ -22,7 +22,7 @@
 //! | [`arch`] | architectural state and the context-save architecture |
 //! | [`exec`] | instruction semantics shared by all execution models |
 //! | [`iss`] | functional golden-model simulator |
-//! | [`decode_cache`] | predecoded basic blocks for the ISS fast path |
+//! | [`decode_cache`] | predecoded basic blocks shared by both execution tiers |
 //! | [`bus`] | the timed memory interface a core drives |
 //! | [`pipeline`] | the cycle-level tri-issue pipeline |
 //! | [`mem`] | flat functional memory for tests and the ISS |

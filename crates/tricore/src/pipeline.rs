@@ -25,19 +25,23 @@
 //!
 //! # Predecoded fast path
 //!
-//! Like the functional ISS, the pipeline carries a predecoded-block fast
-//! path (on by default, see [`Core::set_fast_path`]). The carve stage
-//! groups each straight-line run it decodes into a block keyed by start PC
-//! and stamped with the code region's write generation — the same
-//! invalidation scheme as [`crate::decode_cache`] — and replays the decoded
+//! Like the functional ISS, the pipeline keeps its predecoded blocks in a
+//! [`crate::decode_cache::BlockCache`]. The carve stage groups each
+//! straight-line run it decodes into a block keyed by start PC and stamped
+//! with the code region's write generation, and replays the decoded
 //! micro-ops (issue pipe, operand lists, latency class, flow kind) on later
 //! executions. A replay drains exactly the fetched bytes a fresh decode of
 //! the same stream would have consumed, so fetch traffic, decode-queue
-//! occupancy and every stall are **bit-identical** with the fast path on or
-//! off; only host-side decode work disappears. Stale bytes are impossible
-//! by construction: both the byte stream and each block carry the
-//! generation sampled when their bytes left memory, and a block is served
-//! only while the two stamps are equal.
+//! occupancy and every stall are **bit-identical** whether or not a block
+//! was cached; only host-side decode work disappears. Stale bytes are
+//! impossible by construction: both the byte stream and each block carry
+//! the generation sampled when their bytes left memory, and a block is
+//! served only while the two stamps are equal.
+//!
+//! With the fast path off ([`Core::set_fast_path`]) the carve stage runs
+//! the very same code — stamps, fills, block tags — except that finished
+//! blocks are not stored, so every lookup misses and every instruction is
+//! decoded fresh.
 //!
 //! # Stall accounting
 //!
@@ -46,22 +50,18 @@
 //! bumps, maintained whether or not an [`EventSink`] is attached — so
 //! observability can decompose IPC without re-running anything.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use audo_common::events::{FlowKind, StallReason};
 use audo_common::{Addr, Cycle, EventSink, PerfEvent, SimError, SourceId};
+use audo_obs::profile::BlockKey;
 
 use crate::arch::ArchState;
 use crate::bus::{CoreBus, TimedMem, FETCH_BYTES};
-use crate::decode_cache::CacheStats;
+use crate::decode_cache::{ends_block, Block, BlockCache, CacheStats, Stamp, MAX_BLOCK_LEN};
 use crate::encode::decode;
 use crate::exec::{enter_interrupt, execute};
 use crate::isa::{Instr, Pipe, RegList, RegRef};
-
-/// Longest straight-line run predecoded into a single pipeline block
-/// (mirrors the ISS decode cache's cap). Public so static analyzers can
-/// bound the cost of *any* carved block without re-deriving the cap.
-pub const MAX_BLOCK_LEN: usize = 64;
 
 /// Timing configuration of the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,9 +97,9 @@ impl Default for CoreConfig {
 /// Timing-relevant properties of one instruction, derived from its dense
 /// [`Instr`] form.
 ///
-/// The issue stage consults these once per issue attempt; the predecode
-/// fast path derives them once per *decode* and replays them, which is
-/// where much of the pipeline-tier speedup comes from.
+/// The carve stage derives them once per *decode* and the issue stage
+/// consults them on every issue attempt; a cached block replays them
+/// without decoding again.
 #[derive(Debug, Clone, Copy)]
 struct MicroProps {
     pipe: Pipe,
@@ -135,39 +135,17 @@ impl MicroProps {
     }
 }
 
-/// Identity of the predecoded block an instruction was carved into,
-/// carried on each queue entry so the profiler can charge cycles to the
-/// owning block. `start` is the block's first PC (the cache key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockTag {
-    region: u32,
-    start: u32,
-    generation: u64,
-}
-
-impl BlockTag {
-    fn key(self) -> audo_obs::profile::BlockKey {
-        audo_obs::profile::BlockKey {
-            region: self.region,
-            offset: self.start.wrapping_sub(self.region),
-            generation: self.generation,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Decoded {
     pc: u32,
     instr: Instr,
     len: u8,
-    /// Predecoded timing properties: `Some` when carved via the fast path,
-    /// `None` on the slow path, which then derives them at issue — exactly
-    /// the original per-cycle cost, so fast-off remains an honest baseline.
-    props: Option<MicroProps>,
-    /// Owning predecode block, when carved from stamped bytes on the fast
-    /// path (`None` on the slow path or from unstamped bytes). Purely an
-    /// attribution label: timing never reads it.
-    tag: Option<BlockTag>,
+    /// Timing properties, derived once when the instruction was decoded.
+    props: MicroProps,
+    /// Profile identity of the owning predecode block (`None` when carved
+    /// from unstamped bytes). Purely an attribution label: timing never
+    /// reads it.
+    tag: Option<BlockKey>,
 }
 
 #[derive(Debug, Clone)]
@@ -197,53 +175,7 @@ struct PendingFetch {
     ready_at: Cycle,
     bytes: [u8; FETCH_BYTES as usize],
     /// Code-region identity sampled when the bytes left memory.
-    code: Option<(u32, u64)>,
-}
-
-/// Deterministic multiplicative hasher for block keys. The default SipHash
-/// is both slower on 4-byte keys and seeded per process; block lookups sit
-/// on the per-carve hot path and must not be a source of run-to-run
-/// variation while debugging.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockHasher(u64);
-
-impl std::hash::Hasher for BlockHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type BlockMap = HashMap<u32, PredecodedBlock, std::hash::BuildHasherDefault<BlockHasher>>;
-
-/// A predecoded straight-line run, stamped with the identity of the code
-/// bytes it was carved from.
-#[derive(Debug, Clone)]
-struct PredecodedBlock {
-    region: u32,
-    generation: u64,
-    instrs: Vec<Decoded>,
-    /// Decode error terminating the run, if the bytes after the last
-    /// instruction do not decode: `(pc, error)`. Replaying it skips the
-    /// (deterministic) re-decode of the same undecodable bytes.
-    error: Option<(u32, SimError)>,
-}
-
-/// A block being accumulated by the carve stage on the fast path.
-#[derive(Debug, Clone)]
-struct FillBlock {
-    key: u32,
-    region: u32,
-    generation: u64,
-    instrs: Vec<Decoded>,
-    error: Option<(u32, SimError)>,
+    code: Option<Stamp>,
 }
 
 /// Replay cursor into a cached block (avoids a map lookup per carve).
@@ -251,8 +183,7 @@ struct FillBlock {
 struct Replay {
     key: u32,
     idx: usize,
-    region: u32,
-    generation: u64,
+    stamp: Stamp,
 }
 
 /// Cycle-accounting and fast-path counters, maintained unconditionally
@@ -273,7 +204,8 @@ pub struct PipelineStats {
     pub loop_buffer_replays: u64,
     /// Loop-buffer bodies dropped because their code bytes were rewritten.
     pub loop_buffer_invalidations: u64,
-    /// Predecode-block cache counters (fast path only).
+    /// Predecode-block cache counters (no hits with the fast path off),
+    /// mirrored from the block cache whenever they move.
     pub predecode: CacheStats,
 }
 
@@ -316,14 +248,19 @@ pub struct Core {
     byte_buf_pc: u32,
     /// Code-region identity of the bytes in `byte_buf`; `None` when the
     /// bus has no generation tracking or the buffer mixes snapshots.
-    byte_buf_code: Option<(u32, u64)>,
+    byte_buf_code: Option<Stamp>,
     decode_q: VecDeque<QEntry>,
 
-    // Predecoded fast path.
+    // Predecoded blocks.
+    /// Whether finished fills are stored (see [`Core::set_fast_path`]).
     fast_path: bool,
-    blocks: BlockMap,
+    blocks: BlockCache<Decoded>,
     replay: Option<Replay>,
-    filling: Option<FillBlock>,
+    /// The block being carved, keyed by its start PC.
+    filling: Option<(u32, Block<Decoded>)>,
+    /// Recycled fill buffer: with nothing stored, carving reuses one
+    /// allocation.
+    spare: Vec<Decoded>,
 
     // Timing state.
     stall_until: Cycle,
@@ -351,11 +288,11 @@ pub struct Core {
     profile: Option<Box<audo_obs::profile::BlockProfile>>,
     /// Block of the most recently issued instruction — owns trailing
     /// fetch-starvation and idle cycles.
-    last_issue_tag: Option<BlockTag>,
+    last_issue_tag: Option<BlockKey>,
     /// Block charged for `stall_until` wait cycles (the instruction that
     /// armed the stall; cleared on interrupt entry, whose context stall
     /// belongs to no guest block).
-    stall_tag: Option<BlockTag>,
+    stall_tag: Option<BlockKey>,
 }
 
 impl Core {
@@ -374,9 +311,10 @@ impl Core {
             byte_buf_code: None,
             decode_q: VecDeque::new(),
             fast_path: true,
-            blocks: BlockMap::default(),
+            blocks: BlockCache::new(),
             replay: None,
             filling: None,
+            spare: Vec::new(),
             stall_until: Cycle::ZERO,
             stall_reason: StallReason::Fetch,
             refill_reason: None,
@@ -444,13 +382,14 @@ impl Core {
     /// Enables or disables the predecoded-block fast path (default: on).
     ///
     /// Timing is bit-identical either way — the fast path only removes
-    /// host-side decode work. Disabling drops all cached blocks.
+    /// host-side decode work. Off, the carve stage runs unchanged but
+    /// stores no finished block, so nothing is ever replayed and every
+    /// instruction is decoded fresh. Disabling drops all cached blocks.
     pub fn set_fast_path(&mut self, fast: bool) {
         self.fast_path = fast;
         if !fast {
             self.blocks.clear();
             self.replay = None;
-            self.filling = None;
         }
     }
 
@@ -470,10 +409,10 @@ impl Core {
     /// with no block identity (cold-start fetch, interrupt entry,
     /// unstamped bytes) land in the profile's explicit `unattributed`
     /// bucket, so the profile's cycle total always equals the
-    /// [`PipelineStats`] `retire + Σ stalls` total exactly. Attribution
-    /// needs the fast path's block stamps; with the fast path off all
-    /// cycles are unattributed. Enabling resets the profile; disabling
-    /// drops it. Timing is bit-identical either way.
+    /// [`PipelineStats`] `retire + Σ stalls` total exactly. Blocks are
+    /// carved and tagged with the fast path on or off, so attribution
+    /// works either way. Enabling resets the profile; disabling drops it.
+    /// Timing is bit-identical either way.
     pub fn set_profile_observation(&mut self, enabled: bool) {
         self.profile = if enabled {
             Some(Box::new(audo_obs::profile::BlockProfile::new()))
@@ -508,56 +447,46 @@ impl Core {
         self.byte_buf_pc.wrapping_add(self.byte_buf.len() as u32)
     }
 
-    /// Inserts the in-progress fill block into the cache, if any.
+    /// Ends the fill block: the cache stores it with the fast path on;
+    /// with it off the cache stores nothing and the buffer is recycled.
     fn finalize_fill(&mut self) {
-        if let Some(fill) = self.filling.take() {
-            if !fill.instrs.is_empty() || fill.error.is_some() {
-                self.blocks.insert(
-                    fill.key,
-                    PredecodedBlock {
-                        region: fill.region,
-                        generation: fill.generation,
-                        instrs: fill.instrs,
-                        error: fill.error,
-                    },
-                );
+        if let Some((pc, mut block)) = self.filling.take() {
+            if self.fast_path {
+                self.blocks.insert(pc, block);
+            } else {
+                // Sized for the longest fill once, so steady-state
+                // carving never grows it.
+                block.instrs.clear();
+                block.instrs.reserve(MAX_BLOCK_LEN);
+                self.spare = block.instrs;
             }
         }
     }
 
     /// Serves predecoded instructions at the current carve position, if
-    /// the fast path holds a block whose byte stamp matches the byte
+    /// the cache holds a block whose byte stamp matches the byte
     /// stream's. Pushes as many entries as fit the decode queue and the
     /// fetched bytes, draining exactly what a fresh decode of the same
     /// stream would have consumed. Returns `true` if anything was served.
     fn serve_predecoded(&mut self) -> bool {
-        if !self.fast_path {
-            return false;
-        }
         let Some(stamp) = self.byte_buf_code else {
             return false;
         };
         let (key, start_idx) = match self.replay {
-            Some(r) if (r.region, r.generation) == stamp => (r.key, r.idx),
+            Some(r) if r.stamp == stamp => (r.key, r.idx),
             _ => {
                 self.replay = None;
                 let pc = self.byte_buf_pc;
-                let valid = match self.blocks.get(&pc) {
-                    Some(b) => (b.region, b.generation) == stamp,
-                    None => return false,
-                };
-                if !valid {
-                    // Same start PC, different byte snapshot: stale code.
-                    self.stats.predecode.invalidations += 1;
-                    self.blocks.remove(&pc);
+                let hit = self.blocks.lookup(pc, stamp);
+                self.stats.predecode = self.blocks.stats();
+                if !hit {
                     return false;
                 }
-                self.stats.predecode.hits += 1;
                 self.finalize_fill();
                 (pc, 0)
             }
         };
-        let Some(block) = self.blocks.get(&key) else {
+        let Some(block) = self.blocks.get(key) else {
             self.replay = None;
             return false;
         };
@@ -611,116 +540,80 @@ impl Core {
         self.byte_buf.drain(..drained);
         self.byte_buf_pc = pc;
         self.replay = if idx < block.instrs.len() {
-            Some(Replay {
-                key,
-                idx,
-                region: stamp.0,
-                generation: stamp.1,
-            })
+            Some(Replay { key, idx, stamp })
         } else {
             None
         };
         true
     }
 
-    /// Records a freshly decoded instruction into the fill block (fast
-    /// path only) and returns the micro-props and owning-block tag for its
-    /// queue entry.
-    fn note_decoded(
-        &mut self,
-        pc: u32,
-        instr: Instr,
-        len: u8,
-    ) -> (Option<MicroProps>, Option<BlockTag>) {
-        if !self.fast_path {
-            return (None, None);
-        }
-        let props = MicroProps::of(&instr);
-        let Some(stamp) = self.byte_buf_code else {
-            // Unstamped bytes cannot be cached, but the derived props are
-            // a pure function of the instruction and stay usable.
+    /// Extends the fill block to the carve entry at `pc`, or closes it and
+    /// starts a new one there (counting a miss). Returns the owning block's
+    /// profile key, or `None` for unstamped bytes, which belong to no
+    /// block. `instr` is false for a decode error, which terminates a
+    /// block without counting against [`MAX_BLOCK_LEN`].
+    fn fill_at(&mut self, pc: u32, instr: bool) -> Option<BlockKey> {
+        let Some((region, generation)) = self.byte_buf_code else {
             self.finalize_fill();
-            return (Some(props), None);
+            return None;
         };
-        let terminal = props.control_flow
-            || props.serializing
-            || matches!(instr, Instr::Debug { .. } | Instr::Wait | Instr::Halt);
-        let extends = self.filling.as_ref().is_some_and(|f| {
-            (f.region, f.generation) == stamp
-                && f.instrs.len() < MAX_BLOCK_LEN
-                && f.instrs
-                    .last()
-                    .is_some_and(|d| d.pc.wrapping_add(u32::from(d.len)) == pc)
-        });
-        let tag = if extends {
-            let fill = self.filling.as_mut().expect("extends implies filling");
-            BlockTag {
-                region: fill.region,
-                start: fill.key,
-                generation: fill.generation,
+        let start = match &self.filling {
+            Some((start, f))
+                if (f.region, f.generation) == (region, generation)
+                    && (!instr || f.instrs.len() < MAX_BLOCK_LEN)
+                    && f.instrs
+                        .last()
+                        .is_some_and(|d| d.pc.wrapping_add(u32::from(d.len)) == pc) =>
+            {
+                *start
             }
-        } else {
-            self.finalize_fill();
-            self.stats.predecode.misses += 1;
-            self.filling = Some(FillBlock {
-                key: pc,
-                region: stamp.0,
-                generation: stamp.1,
-                instrs: Vec::new(),
-                error: None,
-            });
-            BlockTag {
-                region: stamp.0,
-                start: pc,
-                generation: stamp.1,
+            _ => {
+                self.finalize_fill();
+                self.blocks.note_miss();
+                self.stats.predecode = self.blocks.stats();
+                let instrs = std::mem::take(&mut self.spare);
+                let block = Block {
+                    region,
+                    generation,
+                    instrs,
+                    error: None,
+                };
+                self.filling = Some((pc, block));
+                pc
             }
         };
+        Some(BlockKey {
+            region,
+            offset: start.wrapping_sub(region),
+            generation,
+        })
+    }
+
+    /// Records a freshly decoded instruction into the fill block and
+    /// returns its queue entry.
+    fn note_decoded(&mut self, pc: u32, instr: Instr, len: u8) -> Decoded {
         let dec = Decoded {
             pc,
             instr,
             len,
-            props: Some(props),
-            tag: Some(tag),
+            props: MicroProps::of(&instr),
+            tag: self.fill_at(pc, true),
         };
-        if let Some(fill) = &mut self.filling {
+        if let Some((_, fill)) = &mut self.filling {
             fill.instrs.push(dec);
         }
-        if terminal {
+        if ends_block(&instr) {
             self.finalize_fill();
         }
-        (Some(props), Some(tag))
+        dec
     }
 
-    /// Records a decode error as the terminator of the current fill block
-    /// (fast path only), so dead paths that repeatedly run into the same
-    /// undecodable bytes replay from cache instead of re-decoding.
+    /// Records a decode error as the terminator of the fill block, so dead
+    /// paths that keep running into the same undecodable bytes replay it
+    /// instead of re-decoding.
     fn note_decode_error(&mut self, pc: u32, e: &SimError) {
-        if !self.fast_path {
-            self.finalize_fill();
-            return;
-        }
-        let Some(stamp) = self.byte_buf_code else {
-            self.finalize_fill();
-            return;
-        };
-        let extends = self.filling.as_ref().is_some_and(|f| {
-            (f.region, f.generation) == stamp
-                && f.instrs
-                    .last()
-                    .is_some_and(|d| d.pc.wrapping_add(u32::from(d.len)) == pc)
-        });
-        if !extends {
-            self.finalize_fill();
-            self.stats.predecode.misses += 1;
-            self.filling = Some(FillBlock {
-                key: pc,
-                region: stamp.0,
-                generation: stamp.1,
-                instrs: Vec::new(),
-                error: None,
-            });
-        }
-        if let Some(fill) = &mut self.filling {
+        self.fill_at(pc, false);
+        if let Some((_, fill)) = &mut self.filling {
             fill.error = Some((pc, e.clone()));
         }
         self.finalize_fill();
@@ -749,10 +642,10 @@ impl Core {
                 self.pending_fetch = None;
             }
         }
-        // Carve instructions out of the byte stream. The fast path first
-        // consults the predecode cache; hits skip `decode` entirely but
-        // drain the same bytes, so the timing-visible state (byte stream,
-        // queue occupancy) evolves bit-identically either way.
+        // Carve instructions out of the byte stream, consulting the
+        // predecode cache first; hits skip `decode` entirely but drain the
+        // same bytes, so the timing-visible state (byte stream, queue
+        // occupancy) evolves bit-identically either way.
         while self.decode_q.len() < self.cfg.fetch_queue && self.byte_buf.len() >= 2 {
             let pc = self.byte_buf_pc;
             let need32 = self.byte_buf[0] & 1 == 1;
@@ -764,16 +657,10 @@ impl Core {
             }
             match decode(&self.byte_buf, Addr(pc)) {
                 Ok((instr, len)) => {
-                    let (props, tag) = self.note_decoded(pc, instr, len);
+                    let dec = self.note_decoded(pc, instr, len);
                     self.byte_buf.drain(..len as usize);
                     self.byte_buf_pc = pc.wrapping_add(u32::from(len));
-                    self.decode_q.push_back(QEntry::Ok(Decoded {
-                        pc,
-                        instr,
-                        len,
-                        props,
-                        tag,
-                    }));
+                    self.decode_q.push_back(QEntry::Ok(dec));
                 }
                 Err(e) => {
                     self.note_decode_error(pc, &e);
@@ -798,11 +685,7 @@ impl Core {
                         base: addr.align_down(FETCH_BYTES),
                         ready_at: slot.ready_at.max(now + 1),
                         bytes: slot.bytes,
-                        code: if self.fast_path {
-                            bus.code_region(addr)
-                        } else {
-                            None
-                        },
+                        code: bus.code_region(addr),
                     });
                 }
                 Err(e) => {
@@ -834,12 +717,12 @@ impl Core {
         &mut self,
         now: Cycle,
         reason: StallReason,
-        tag: Option<BlockTag>,
+        tag: Option<BlockKey>,
         sink: &mut EventSink,
     ) {
         self.stats.stall_cycles[reason.index()] += 1;
         if let Some(profile) = self.profile.as_deref_mut() {
-            profile.record_stall_cycle(tag.map(BlockTag::key), reason);
+            profile.record_stall_cycle(tag, reason);
         }
         sink.emit(now, self.source, PerfEvent::Stall { reason });
     }
@@ -962,8 +845,8 @@ impl Core {
         let mut first_block: Option<StallReason> = None;
         // Profiler attribution for this cycle: the block charged if no
         // instruction issues, and the block owning the first issued op.
-        let mut block_attr: Option<BlockTag> = None;
-        let mut bundle_tag: Option<BlockTag> = None;
+        let mut block_attr: Option<BlockKey> = None;
+        let mut bundle_tag: Option<BlockKey> = None;
 
         'issue: while issued < 3 {
             let Some(front) = self.decode_q.front() else {
@@ -990,7 +873,7 @@ impl Core {
                 }
             };
             let instr = dec.instr;
-            let props = dec.props.unwrap_or_else(|| MicroProps::of(&instr));
+            let props = dec.props;
 
             // Serializing instructions issue alone.
             if props.serializing && issued > 0 {
@@ -1051,12 +934,11 @@ impl Core {
             }
             if let Some(profile) = self.profile.as_deref_mut() {
                 match dec.tag {
-                    Some(tag) => {
-                        let key = tag.key();
-                        if pc == tag.start {
+                    Some(key) => {
+                        if pc == key.addr() {
                             profile.record_entry(key);
                         }
-                        let end = pc.wrapping_add(u32::from(dec.len)).wrapping_sub(tag.start);
+                        let end = pc.wrapping_add(u32::from(dec.len)).wrapping_sub(key.addr());
                         profile.record_instr(Some(key), end);
                     }
                     None => profile.record_instr(None, 0),
@@ -1260,8 +1142,8 @@ impl Core {
         now: Cycle,
         issued: u8,
         first_block: Option<StallReason>,
-        block_attr: Option<BlockTag>,
-        bundle_tag: Option<BlockTag>,
+        block_attr: Option<BlockKey>,
+        bundle_tag: Option<BlockKey>,
         sink: &mut EventSink,
         out: &mut StepOutput,
         last: crate::exec::Outcome,
@@ -1280,7 +1162,7 @@ impl Core {
         if issued > 0 {
             self.stats.retire_cycles += 1;
             if let Some(profile) = self.profile.as_deref_mut() {
-                profile.record_retire_cycle(bundle_tag.map(BlockTag::key));
+                profile.record_retire_cycle(bundle_tag);
             }
             sink.emit(now, self.source, PerfEvent::InstrRetired { count: issued });
         } else if !self.halted && !self.idle {
@@ -2164,6 +2046,40 @@ mod tests {
         assert!(s.misses >= 1, "first decode must miss: {s:?}");
         assert!(s.hits >= 5, "re-entered loop body must hit: {s:?}");
         assert_eq!(s.invalidations, 0, "nothing was overwritten: {s:?}");
+    }
+
+    /// With the fast path off the carve stage still fills and tags blocks
+    /// but the cache stores none of them: a loop that would hit on every
+    /// iteration never does, and the cache ends the run empty.
+    #[test]
+    fn uncached_core_stores_nothing_and_never_hits() {
+        let image = assemble(
+            "
+            .org 0x1000
+            movi d0, 10
+        head:
+            addi d0, d0, -1
+            jnz d0, head
+            halt
+        ",
+        )
+        .unwrap();
+        let mut bus = TestBus::new();
+        bus.mem.add_region(Addr(0x1000), 0x1000);
+        image.load_into(&mut bus.mem).unwrap();
+        let mut core = Core::new(CoreConfig::default(), image.entry(), SourceId::TRICORE);
+        core.set_fast_path(false);
+        let mut sink = EventSink::disabled();
+        let mut cyc = 0u64;
+        while !core.is_halted() {
+            assert!(cyc < 10_000, "no halt");
+            core.step(Cycle(cyc), &mut bus, None, &mut sink).unwrap();
+            cyc += 1;
+        }
+        let s = core.stats().predecode;
+        assert_eq!(s.hits, 0, "nothing stored, nothing replayed: {s:?}");
+        assert!(s.misses >= 10, "every loop pass is carved fresh: {s:?}");
+        assert!(core.blocks.is_empty(), "the cache stores nothing");
     }
 
     /// Store-to-own-block self-modification: the predecode fast path must

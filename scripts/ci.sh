@@ -139,7 +139,7 @@ EOF
 
 echo "==> static analyzer gate: stock image clean, goldens pinned, veto live"
 # The committed goldens are checked by `cargo test --test analyze_golden`
-# above (refresh with ANALYZE_GOLDEN_REGEN=1 after intentional changes);
+# above (refresh with GOLDEN_REGEN=1 after intentional changes);
 # here we exercise the CLI surface: a clean image exits 0 and a
 # deliberately divergent snapshot trips the non-zero divergence veto.
 an_dir="$(mktemp -d)"
@@ -162,7 +162,7 @@ echo "analyzer gate passed"
 echo "==> wcet gate: corpus soundness sweep, crafted CSA overflow vetoed, fuzz check clean"
 # The static WCET/CSA bounds are gated against measured execution: the
 # corpus-wide soundness sweep must hold on both tiers (and the engine
-# WCET golden must match; refresh with WCET_GOLDEN_REGEN=1), the crafted
+# WCET golden must match; refresh with GOLDEN_REGEN=1), the crafted
 # 50-deep call chain must trip the CSA-OVERFLOW veto against the
 # platform's 48-frame free list, and a fuzz session holding every
 # agreeing program to its static bound must come back clean at any

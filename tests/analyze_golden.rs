@@ -8,7 +8,7 @@
 //! To refresh after an intentional change:
 //!
 //! ```text
-//! ANALYZE_GOLDEN_REGEN=1 cargo test --test analyze_golden
+//! GOLDEN_REGEN=1 cargo test --test analyze_golden
 //! ```
 //!
 //! and commit the updated files under `tests/golden/` with an explanation.
@@ -19,27 +19,9 @@ use audo_platform::Soc;
 use audo_workloads::engine::{engine_control, EngineParams};
 use audo_workloads::Workload;
 
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
 fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("ANALYZE_GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); see file header", path.display()));
-    assert!(
-        expected == actual,
-        "{name} diverged from the committed golden. If the change is \
-         intentional, regenerate with ANALYZE_GOLDEN_REGEN=1 cargo test \
-         --test analyze_golden and commit the diff."
-    );
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    audo_common::golden::check(&dir.join(name), actual);
 }
 
 fn report(w: &Workload) -> String {

@@ -20,7 +20,7 @@
 //! engine workload. To refresh after an intentional change:
 //!
 //! ```text
-//! PROFILE_GOLDEN_REGEN=1 cargo test --test profile_determinism
+//! GOLDEN_REGEN=1 cargo test --test profile_determinism
 //! ```
 //!
 //! and commit the updated files under `tests/golden/`.
@@ -54,10 +54,12 @@ fn small_engine(tables_in_dspr: bool, isrs_in_pspr: bool) -> Workload {
 }
 
 /// Runs a workload on the full-SoC pipeline tier with block profiling on
-/// and returns the profile next to the pipeline's own ground truth.
-fn profile_on_soc(w: &Workload) -> (BlockProfile, PipelineStats, u64) {
+/// (and the predecode fast path on or off) and returns the profile next
+/// to the pipeline's own ground truth.
+fn profile_on_soc(w: &Workload, fast: bool) -> (BlockProfile, PipelineStats, u64) {
     let mut soc = Soc::new(SocConfig::tc1797());
     w.install(&mut soc).expect("workload installs");
+    soc.tricore.set_fast_path(fast);
     soc.tricore.set_profile_observation(true);
     soc.run_to_halt(w.max_cycles).expect("workload completes");
     let profile = soc
@@ -74,7 +76,7 @@ fn profile_on_soc(w: &Workload) -> (BlockProfile, PipelineStats, u64) {
 /// workload — hot-block table, JSON document, folded stacks — as one
 /// string, for byte comparison.
 fn full_artifacts(w: &Workload) -> String {
-    let (profile, stats, retired) = profile_on_soc(w);
+    let (profile, stats, retired) = profile_on_soc(w, true);
     let soc_cfg = SocConfig::tc1797();
     let graph = cfg::recover(&w.image);
     let symbol_map = symbols::symbol_map(&graph, &soc_cfg);
@@ -112,10 +114,18 @@ fn report_is_byte_identical_at_any_worker_count() {
     }
 }
 
+/// With the fast path off the carve stage still tags blocks (the cache
+/// just stores none), so attribution must balance exactly either way.
 #[test]
 fn attribution_accounts_every_cycle_exactly() {
+    for fast in [true, false] {
+        check_attribution(fast);
+    }
+}
+
+fn check_attribution(fast: bool) {
     let w = small_engine(false, false);
-    let (profile, stats, retired) = profile_on_soc(&w);
+    let (profile, stats, retired) = profile_on_soc(&w, fast);
     let cycles = stats.retire_cycles + stats.stall_total();
 
     // The machine check: Σ per-block cycles + unattributed == retire +
@@ -124,34 +134,39 @@ fn attribution_accounts_every_cycle_exactly() {
     let mut sum_retire = profile.unattributed.retire_cycles;
     let mut sum_stall = [0u64; StallReason::COUNT];
     let mut sum_instrs = profile.unattributed.instructions;
+    let mut attributed = 0u64;
     for (reason, slot) in StallReason::ALL.iter().zip(sum_stall.iter_mut()) {
         *slot += profile.unattributed.stall_cycles[reason.index()];
     }
     for c in profile.blocks.values() {
         sum_retire += c.retire_cycles;
         sum_instrs += c.instructions;
+        attributed += c.cycles();
         for (reason, slot) in StallReason::ALL.iter().zip(sum_stall.iter_mut()) {
             *slot += c.stall_cycles[reason.index()];
         }
     }
-    assert_eq!(sum_retire, stats.retire_cycles, "retire cycles balance");
+    assert_eq!(
+        sum_retire, stats.retire_cycles,
+        "retire cycles balance (fast={fast})"
+    );
     for reason in StallReason::ALL {
         assert_eq!(
             sum_stall[reason.index()],
             stats.stall_cycles[reason.index()],
-            "stall cycles balance for {reason:?}"
+            "stall cycles balance for {reason:?} (fast={fast})"
         );
     }
     assert_eq!(
         sum_retire + sum_stall.iter().sum::<u64>(),
         cycles,
-        "every cycle is attributed exactly once"
+        "every cycle is attributed exactly once (fast={fast})"
     );
-    assert_eq!(sum_instrs, retired, "every retired instruction is counted");
-    assert!(
-        !profile.blocks.is_empty(),
-        "the workload produced profiled blocks"
+    assert_eq!(
+        sum_instrs, retired,
+        "every retired instruction is counted (fast={fast})"
     );
+    assert!(attributed > 0, "blocks own cycles with fast={fast}");
 }
 
 /// Assembles a single instruction and returns its encoding bytes.
@@ -247,33 +262,15 @@ fn smc_generation_bump_keeps_stale_blocks_distinct() {
     );
 }
 
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
 fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PROFILE_GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); see file header", path.display()));
-    assert!(
-        expected == actual,
-        "{name} diverged from the committed golden. If the change is \
-         intentional, regenerate with PROFILE_GOLDEN_REGEN=1 cargo test \
-         --test profile_determinism and commit the diff."
-    );
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    audo_common::golden::check(&dir.join(name), actual);
 }
 
 #[test]
 fn hot_block_report_matches_committed_golden() {
     let w = small_engine(false, false);
-    let (profile, stats, retired) = profile_on_soc(&w);
+    let (profile, stats, retired) = profile_on_soc(&w, true);
     let soc_cfg = SocConfig::tc1797();
     let graph = cfg::recover(&w.image);
     let symbol_map = symbols::symbol_map(&graph, &soc_cfg);

@@ -11,7 +11,7 @@
 //! intentional change with:
 //!
 //! ```text
-//! WCET_GOLDEN_REGEN=1 cargo test --test wcet_soundness
+//! GOLDEN_REGEN=1 cargo test --test wcet_soundness
 //! ```
 
 use audo_analyze::{cfg, constprop, wcet};
@@ -196,15 +196,5 @@ fn engine_wcet_report_matches_golden() {
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wcet_engine.txt");
-    if std::env::var_os("WCET_GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); see file header", path.display()));
-    assert!(
-        expected == actual,
-        "engine WCET report diverged from the golden. If intentional, \
-         regenerate with WCET_GOLDEN_REGEN=1 cargo test --test wcet_soundness:\n{actual}"
-    );
+    audo_common::golden::check(&path, &actual);
 }

@@ -145,19 +145,6 @@ fn rel16(pc: u32, off: i16) -> u32 {
     rel32(pc, i32::from(off))
 }
 
-/// Branch target of a control-flow instruction at `pc`, when direct.
-#[must_use]
-pub fn direct_target(instr: &Instr, pc: u32) -> Option<u32> {
-    match *instr {
-        Instr::J { off } | Instr::Jl { off } | Instr::Call { off } => Some(rel32(pc, off)),
-        Instr::JCond { off, .. }
-        | Instr::Jz { off, .. }
-        | Instr::Jnz { off, .. }
-        | Instr::Loop { off, .. } => Some(rel16(pc, off)),
-        _ => None,
-    }
-}
-
 struct Explorer<'a> {
     image: &'a Image,
     decoded: BTreeMap<u32, (Instr, u8)>,

@@ -1,5 +1,6 @@
-//! Times both execution tiers with their fast paths and instrumentation
-//! on and off, in one process, and writes `BENCH_tiers.json`.
+//! Times both execution tiers and the full SoC with their fast paths and
+//! instrumentation on and off, in one process, and writes
+//! `BENCH_tiers.json`.
 //!
 //! ```text
 //! tier_bench [--json PATH] [--trace-out PATH] [--metrics-out PATH]
@@ -14,15 +15,26 @@
 //!   Timed region: the stepping loop, event observation off. Before
 //!   timing, the uncached and cached runs must be cycle-identical: state,
 //!   cycles, stall decomposition, events and MCDS trace bytes.
+//! * soc (the full chip on `mac_kernel` and a short engine run):
+//!   `uncached` and `cached` (`Soc::run_to_halt`, observation off, as a
+//!   production chip), `emulation` (`Soc::run`, observation on) and `ed`
+//!   (an Emulation Device running a four-rate-probe `session::profile` to
+//!   halt, trace download and decode included). Timed region: the run,
+//!   chip construction and image load excluded. Before timing,
+//!   `tiers::check_soc_identity` steps an uncached and a cached SoC in
+//!   lockstep, observation on, and names the first cycle whose events,
+//!   bus transactions, retired count or halt differ.
 //!
 //! The variants of a tier are interleaved rep by rep (see
 //! `audo_bench::harness`), every timed run must return the same retired
-//! count (ISS) or the same cycles and retired count (pipeline), and each
-//! ratio is the median of per-rep paired ratios against the tier's plain
-//! variant (`fast`, `cached`). Gates, on each tier's geomean of those
-//! ratios over the workloads: the fast path must be faster (> 1.0), and
-//! every instrumentation overhead must lie in `[0.97, ceiling]` — 1.25
-//! for the mix counter, 2.0 for profiling.
+//! count (ISS) or the same cycles and retired count (pipeline, soc; so
+//! every soc rep also checks that observation and the EEC never change
+//! what the chip does), and each ratio is the median of per-rep paired
+//! ratios against the tier's plain variant (`fast`, `cached`). Gates, on
+//! each tier's geomean of those ratios over the workloads: the fast path
+//! must be faster (> 1.0), and every instrumentation overhead must lie in
+//! `[0.97, ceiling]` — 1.25 for the mix counter, 2.0 for profiling, 1.3
+//! for soc emulation mode and 2.1 for the soc ED session.
 //!
 //! `--trace-out`/`--metrics-out` write observability exports of one
 //! instrumented ISS run per workload (fast path, mix counter on). Their
@@ -35,10 +47,17 @@
 use audo_bench::harness::{measure, time, BenchDoc};
 use audo_bench::{cli, tiers};
 use audo_common::EventSink;
+use audo_ed::{EdConfig, EmulationDevice};
+use audo_platform::config::SocConfig;
+use audo_platform::Soc;
+use audo_profiler::metrics::Metric;
+use audo_profiler::session::{profile, SessionOptions};
+use audo_profiler::spec::ProfileSpec;
+use audo_workloads::engine::{engine_control, EngineParams};
 use audo_workloads::micro::{div_kernel, mac_kernel, random_mix, stream_copy};
 use audo_workloads::Workload;
 
-/// Reps per variant: a multiple of both tiers' variant counts, so every
+/// Reps per variant: a multiple of every tier's variant count, so every
 /// variant leads a rep equally often.
 const REPS: usize = 24;
 /// Lowest accepted instrumentation overhead: anything faster than its
@@ -48,11 +67,16 @@ const OVERHEAD_FLOOR: f64 = 0.97;
 const MIX_CEIL: f64 = 1.25;
 /// Highest accepted overhead of block profiling, on either tier.
 const PROFILE_CEIL: f64 = 2.0;
+/// Highest accepted overhead of SoC observation (emulation mode).
+const EMU_CEIL: f64 = 1.3;
+/// Highest accepted overhead of an ED profiling session over the SoC.
+const ED_CEIL: f64 = 2.1;
 /// ISS retire budget; every workload halts well inside it.
 const MAX_INSTRS: u64 = 50_000_000;
 
 const ISS: [&str; 4] = ["slow", "fast", "fast+mix", "fast+profile"];
 const PIPELINE: [&str; 3] = ["uncached", "cached", "cached+profile"];
+const SOC: [&str; 4] = ["uncached", "cached", "emulation", "ed"];
 
 /// The band a tier's geomean of paired ratios must lie in.
 enum Band {
@@ -79,8 +103,8 @@ impl Band {
 }
 
 /// The gated ratios, `(tier, of, over, band)`; they are also the ratios
-/// the JSON records. Variant names are unique across tiers.
-const GATES: [(&str, &str, &str, Band); 5] = [
+/// the JSON records.
+const GATES: [(&str, &str, &str, Band); 8] = [
     ("iss", "slow", "fast", Band::Speedup),
     ("iss", "fast+mix", "fast", Band::Overhead(MIX_CEIL)),
     ("iss", "fast+profile", "fast", Band::Overhead(PROFILE_CEIL)),
@@ -91,6 +115,9 @@ const GATES: [(&str, &str, &str, Band); 5] = [
         "cached",
         Band::Overhead(PROFILE_CEIL),
     ),
+    ("soc", "uncached", "cached", Band::Speedup),
+    ("soc", "emulation", "cached", Band::Overhead(EMU_CEIL)),
+    ("soc", "ed", "cached", Band::Overhead(ED_CEIL)),
 ];
 
 /// One timed ISS run of variant `v` (an index into [`ISS`]).
@@ -114,6 +141,65 @@ fn pipeline_run(w: &Workload, v: usize) -> (u64, (u64, u64)) {
         time(|| tiers::step_to_halt(&mut core, &mut bus, &mut sink, w.max_cycles, |_| {}));
     let cycles = cycles.expect("workload completes");
     (ns, (cycles, core.retired_total()))
+}
+
+/// One timed SoC run of variant `v` (an index into [`SOC`]), returning
+/// `(ns, (cycles, retired))`.
+fn soc_run(w: &Workload, v: usize) -> (u64, (u64, u64)) {
+    if SOC[v] == "ed" {
+        return ed_run(w);
+    }
+    let mut soc = Soc::new(SocConfig::default());
+    soc.tricore.set_fast_path(SOC[v] != "uncached");
+    w.install(&mut soc).expect("workload installs");
+    let observe = SOC[v] == "emulation";
+    soc.set_observation(observe);
+    let mut events = 0u64;
+    let (ns, cycles) = time(|| {
+        if observe {
+            soc.run(w.max_cycles, |obs| events += obs.events.len() as u64)
+        } else {
+            soc.run_to_halt(w.max_cycles)
+        }
+    });
+    let cycles = cycles.expect("workload completes");
+    std::hint::black_box(events);
+    (ns, (cycles, soc.tricore.retired_total()))
+}
+
+/// One timed ED session: four rate probes, run to halt.
+fn ed_run(w: &Workload) -> (u64, (u64, u64)) {
+    let mut ed = EmulationDevice::new(SocConfig::default(), EdConfig::default());
+    w.install_ed(&mut ed).expect("workload installs");
+    let spec = ProfileSpec::new()
+        .metric(Metric::Ipc, 1000)
+        .metric(Metric::IcacheMissPerInstr, 1000)
+        .metric(Metric::DcacheMissPerInstr, 1000)
+        .metric(Metric::InterruptsPerKilocycle, 1000);
+    let opts = SessionOptions {
+        max_cycles: w.max_cycles,
+        run_to_halt: true,
+        ..SessionOptions::default()
+    };
+    let (ns, out) = time(|| profile(&mut ed, &spec, &opts));
+    let out = out.expect("session completes");
+    (ns, (out.cycles, ed.soc.tricore.retired_total()))
+}
+
+/// [`measure`] over `names` whose agreed `(cycles, retired)` must also
+/// be `expected`, the outcome of the observed identity-check runs.
+fn measure_against(
+    names: &[&str],
+    expected: (u64, u64),
+    run: impl FnMut(usize) -> (u64, (u64, u64)),
+) -> Result<Vec<Vec<u64>>, String> {
+    let (ns, outcome) = measure(REPS, names, run)?;
+    if outcome != expected {
+        return Err(format!(
+            "timed runs returned (cycles, retired) {outcome:?}, observed runs {expected:?}"
+        ));
+    }
+    Ok(ns)
 }
 
 /// Records one tier's wall times of one workload, `ns[variant][rep]`: a
@@ -220,13 +306,8 @@ fn run() -> Result<i32, String> {
         record(&mut doc, "iss", w, &ISS, (retired, "instr"), &ns);
 
         let expected = tiers::check_cycle_identity(w)?;
-        let (ns, outcome) =
-            measure(REPS, &PIPELINE, |v| pipeline_run(w, v)).map_err(tag("pipeline"))?;
-        if outcome != expected {
-            return Err(tag("pipeline")(format!(
-                "timed runs returned (cycles, retired) {outcome:?}, observed runs {expected:?}"
-            )));
-        }
+        let ns = measure_against(&PIPELINE, expected, |v| pipeline_run(w, v))
+            .map_err(tag("pipeline"))?;
         record(
             &mut doc,
             "pipeline",
@@ -236,13 +317,27 @@ fn run() -> Result<i32, String> {
             &ns,
         );
     }
+    // The full chip: a MAC loop and a short interrupt-driven engine run.
+    let mut engine = engine_control(&EngineParams {
+        rpm: 12_000,
+        target_teeth: 10,
+        target_bg_passes: 8,
+        ..EngineParams::default()
+    });
+    engine.name = "engine".into();
+    for w in &[mac_kernel(50_000), engine] {
+        let expected = tiers::check_soc_identity(w)?;
+        let ns = measure_against(&SOC, expected, |v| soc_run(w, v))
+            .map_err(|e| format!("soc/{}: {e}", w.name))?;
+        record(&mut doc, "soc", w, &SOC, (expected.0, "cycle"), &ns);
+    }
 
     let mut failed = false;
     for (tier, of, over, band) in &GATES {
         let ln: Vec<f64> = doc
             .ratios
             .iter()
-            .filter(|r| r.of == *of && r.over == *over)
+            .filter(|r| r.name.starts_with(&format!("{tier}/")) && r.of == *of && r.over == *over)
             .map(|r| r.value.median.ln())
             .collect();
         let g = (ln.iter().sum::<f64>() / ln.len() as f64).exp();

@@ -1285,19 +1285,6 @@ pub fn run_selected(ids: &[String], jobs: usize) -> Result<Vec<TimedReport>, Sim
         .collect()
 }
 
-/// Runs every experiment in order, sequentially (compatibility wrapper —
-/// the `experiments` binary uses [`run_selected`] with a worker pool).
-///
-/// # Errors
-///
-/// Propagates the first simulation fault.
-pub fn run_all() -> Result<Vec<Report>, SimError> {
-    Ok(run_selected(&[], 1)?
-        .into_iter()
-        .map(|t| t.report)
-        .collect())
-}
-
 // ======================================================================
 // E13 — §3: the intrusive MLI/monitor path vs the ED/DAP path
 // ======================================================================

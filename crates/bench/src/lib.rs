@@ -6,7 +6,7 @@
 //! experiments E1–E16 implemented here. Each experiment returns a
 //! [`report::Report`] with rendered results and machine-checkable claims,
 //! shared between the `experiments` binary (prints everything for
-//! EXPERIMENTS.md), the integration tests, and the Criterion benches.
+//! EXPERIMENTS.md) and the integration tests.
 
 use std::sync::OnceLock;
 

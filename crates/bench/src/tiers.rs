@@ -2,11 +2,14 @@
 //! the cycle-level pipeline over a scratchpad-like [`TestBus`] (so
 //! host-side decode work, not memory latency, dominates a measurement),
 //! both under the differential fuzzer's memory map, plus the
-//! cycle-identity check that the pipeline's predecoded fast path must
-//! pass before it is timed.
+//! cycle-identity checks that the pipeline's predecoded fast path must
+//! pass before it is timed, bare and on the full [`Soc`].
 
 use audo_common::{Addr, Cycle, EventRecord, EventSink, SourceId};
 use audo_fuzz::tiers::{mcds_trace_bytes, CSA_BASE, CSA_FRAMES, REGIONS};
+use audo_obs::{metrics_text, Registry};
+use audo_platform::config::SocConfig;
+use audo_platform::{CycleObservation, Soc};
 use audo_tricore::arch::init_csa_list;
 use audo_tricore::bus::TestBus;
 use audo_tricore::iss::Iss;
@@ -156,9 +159,88 @@ pub fn check_cycle_identity(w: &Workload) -> Result<(u64, u64), String> {
     Ok((slow.cycles, slow.retired))
 }
 
+/// The first per-cycle observable in which `cached` differs from
+/// `uncached`, if any.
+fn cycle_mismatch(uncached: &CycleObservation, cached: &CycleObservation) -> Option<&'static str> {
+    if cached.events != uncached.events {
+        Some("events")
+    } else if cached.bus != uncached.bus {
+        Some("bus transactions")
+    } else if cached.tricore_retired != uncached.tricore_retired {
+        Some("retired count")
+    } else if cached.halted != uncached.halted {
+        Some("halt")
+    } else {
+        None
+    }
+}
+
+/// The SoC's rendered metrics snapshot without the predecode cache's own
+/// counters (they describe the mechanism, and differ by design).
+fn soc_metrics(soc: &Soc) -> String {
+    let mut reg = Registry::new();
+    soc.export_obs(&mut reg);
+    metrics_text::render(&reg, "audo")
+        .lines()
+        .filter(|l| !l.contains("predecode"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Drives an uncached and a cached full [`Soc`] running `w` in lockstep,
+/// observation on, and requires every cycle to match in events, bus
+/// transactions, retired count and halt; at halt the architectural state
+/// and the rendered metrics (predecode counters excluded) must match too.
+/// Returns `(cycles, retired)`.
+///
+/// # Errors
+///
+/// Returns an error naming the workload and the first mismatch, with its
+/// cycle where it is a per-cycle observable.
+pub fn check_soc_identity(w: &Workload) -> Result<(u64, u64), String> {
+    let fail = |e: String| format!("{}: {e}", w.name);
+    let soc = |fast: bool| {
+        let mut soc = Soc::new(SocConfig::default());
+        soc.tricore.set_fast_path(fast);
+        w.install(&mut soc).map_err(|e| fail(e.to_string()))?;
+        soc.set_observation(true);
+        Ok::<Soc, String>(soc)
+    };
+    let (mut uncached, mut cached) = (soc(false)?, soc(true)?);
+    let mut cycles = 0u64;
+    loop {
+        if cycles >= w.max_cycles {
+            return Err(fail(format!("no halt within {} cycles", w.max_cycles)));
+        }
+        let a = uncached.advance().map_err(|e| fail(e.to_string()))?;
+        let b = cached.advance().map_err(|e| fail(e.to_string()))?;
+        cycles += 1;
+        if let Some(what) = cycle_mismatch(a, b) {
+            return Err(fail(format!(
+                "cached and uncached SoC differ in {what} at cycle {}",
+                a.cycle.0
+            )));
+        }
+        if a.halted {
+            break;
+        }
+    }
+    let mismatch = if cached.tricore.arch() != uncached.tricore.arch() {
+        "architectural state"
+    } else if soc_metrics(&cached) != soc_metrics(&uncached) {
+        "rendered metrics"
+    } else {
+        return Ok((cycles, uncached.tricore.retired_total()));
+    };
+    Err(fail(format!(
+        "cached and uncached SoC differ in {mismatch} at halt"
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use audo_common::{AccessKind, BusTransaction};
     use audo_workloads::micro::{div_kernel, mac_kernel, random_mix, stream_copy};
 
     #[test]
@@ -200,6 +282,35 @@ mod tests {
             r.events.pop();
         })
         .contains("event stream"));
+    }
+
+    #[test]
+    fn soc_identity_holds_and_names_the_differing_observable() {
+        let w = mac_kernel(50);
+        let (cycles, retired) = check_soc_identity(&w).unwrap();
+        let mut soc = Soc::new(SocConfig::default());
+        w.install(&mut soc).unwrap();
+        assert_eq!(soc.run_to_halt(w.max_cycles).unwrap(), cycles);
+        assert_eq!(soc.tricore.retired_total(), retired);
+
+        let obs = soc.last_observation().clone();
+        assert_eq!(cycle_mismatch(&obs, &obs), None);
+        let differs = |edit: &dyn Fn(&mut CycleObservation)| {
+            let mut bad = obs.clone();
+            edit(&mut bad);
+            cycle_mismatch(&obs, &bad)
+        };
+        assert_eq!(differs(&|o| o.events.clear()), Some("events"));
+        let fetch = BusTransaction {
+            cycle: obs.cycle,
+            master: SourceId::TRICORE,
+            addr: w.image.entry(),
+            kind: AccessKind::Fetch,
+            size: 8,
+        };
+        assert_eq!(differs(&|o| o.bus.push(fetch)), Some("bus transactions"));
+        assert_eq!(differs(&|o| o.tricore_retired += 1), Some("retired count"));
+        assert_eq!(differs(&|o| o.halted ^= true), Some("halt"));
     }
 
     #[test]

@@ -774,7 +774,6 @@ pub struct HostTool {
     pub session: DapSession,
     policy: ArbitrationPolicy,
     pending_writes: VecDeque<(u32, Vec<u8>)>,
-    drain_enabled: bool,
     collected: Vec<u8>,
     next_poll_at: u64,
     last_was_trace: bool,
@@ -788,16 +787,10 @@ impl HostTool {
             session,
             policy,
             pending_writes: VecDeque::new(),
-            drain_enabled: true,
             collected: Vec::new(),
             next_poll_at: 0,
             last_was_trace: false,
         }
-    }
-
-    /// Enables/disables continuous trace drain.
-    pub fn set_drain(&mut self, on: bool) {
-        self.drain_enabled = on;
     }
 
     /// Queues a calibration write; it is split into
@@ -837,7 +830,7 @@ impl HostTool {
         let now = self.session.link().now().0;
         let budget = self.session.link().available();
         let write_pending = !self.pending_writes.is_empty();
-        let trace_pending = self.drain_enabled && now >= self.next_poll_at;
+        let trace_pending = now >= self.next_poll_at;
         // Strict priority *reserves* budget: while the preferred class is
         // pending, the other class does not get to snatch accrued bytes
         // even if its (cheaper) exchange is already affordable.

@@ -26,12 +26,6 @@ pub struct CerberusPort {
 }
 
 impl CerberusPort {
-    /// Bytes currently held for possible replay.
-    #[must_use]
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Absolute stream offset of the oldest unacknowledged byte.
     #[must_use]
     pub fn base(&self) -> u64 {

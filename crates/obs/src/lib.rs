@@ -428,12 +428,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Reads a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// All counters in canonical (sorted) order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))

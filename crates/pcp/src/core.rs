@@ -173,20 +173,10 @@ impl Pcp {
         self.regs[ch as usize][r.0 as usize]
     }
 
-    /// Writes a channel register (test setup aid).
-    pub fn set_reg(&mut self, ch: u8, r: PReg, value: u32) {
-        self.regs[ch as usize][r.0 as usize] = value;
-    }
-
     /// Reads a PRAM word.
     #[must_use]
     pub fn pram(&self, idx: u16) -> u32 {
         self.pram[idx as usize]
-    }
-
-    /// Writes a PRAM word.
-    pub fn set_pram(&mut self, idx: u16, value: u32) {
-        self.pram[idx as usize] = value;
     }
 
     fn next_pending(&self) -> Option<u8> {

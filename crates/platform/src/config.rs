@@ -94,15 +94,6 @@ impl Region {
     pub fn is_pflash(self) -> bool {
         matches!(self, Region::PflashCached | Region::PflashUncached)
     }
-
-    /// Whether plain CPU stores to this region are legal on the modelled
-    /// device. Program flash has no write port on the bus (programming
-    /// goes through a command sequence the model does not implement), and
-    /// unmapped addresses trap.
-    #[must_use]
-    pub fn cpu_writable(self) -> bool {
-        !self.is_pflash() && self != Region::Unmapped
-    }
 }
 
 /// Cache geometry.

@@ -191,15 +191,6 @@ fn sext24(v: u32) -> i32 {
     ((v << 8) as i32) >> 8
 }
 
-/// Returns the encoded length (2 or 4) of an instruction without encoding it.
-///
-/// Lengths never depend on branch offsets, so the assembler can lay out code
-/// in its first pass with placeholder offsets.
-#[must_use]
-pub fn encoded_len(instr: &Instr) -> u8 {
-    encode(instr).len
-}
-
 /// Encodes an instruction into its canonical (shortest) binary form.
 ///
 /// # Panics

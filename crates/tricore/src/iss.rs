@@ -7,17 +7,18 @@
 //!
 //! # The basic-block fast path
 //!
-//! By default every step re-fetches and re-decodes the instruction at the
-//! PC. With [`Iss::set_fast_path`] enabled, the ISS instead predecodes
-//! straight-line runs into basic blocks ([`crate::decode_cache`]) and
-//! dispatches whole blocks from the cache, skipping fetch and decode for
-//! every repeat execution. The fast path is **observationally identical**
-//! to slow stepping: architectural results, retired-instruction counts,
-//! debug markers, error behaviour and the emitted [`EventRecord`] stream
-//! are the same bit for bit — both paths funnel every retirement through
-//! one bookkeeping routine, and cached blocks are invalidated whenever
-//! the memory region they were decoded from is written (self-modifying
-//! code, calibration-overlay swaps).
+//! By default the ISS predecodes straight-line runs into basic blocks
+//! ([`crate::decode_cache`]) and dispatches whole blocks from the cache,
+//! skipping fetch and decode for every repeat execution. With
+//! [`Iss::set_fast_path`] disabled, every step instead re-fetches and
+//! re-decodes the instruction at the PC (the reference the golden and
+//! equivalence suites compare against). The fast path is
+//! **observationally identical** to slow stepping: architectural results,
+//! retired-instruction counts, debug markers, error behaviour and the
+//! emitted [`EventRecord`] stream are the same bit for bit — both paths
+//! funnel every retirement through one bookkeeping routine, and cached
+//! blocks are invalidated whenever the memory region they were decoded
+//! from is written (self-modifying code, calibration-overlay swaps).
 //!
 //! # Event observation
 //!
@@ -116,7 +117,8 @@ impl Default for Iss {
 }
 
 impl Iss {
-    /// Creates an ISS with empty memory and reset state.
+    /// Creates an ISS with empty memory, reset state and the basic-block
+    /// fast path on.
     #[must_use]
     pub fn new() -> Iss {
         Iss {
@@ -125,7 +127,7 @@ impl Iss {
             instr_count: 0,
             debug_markers: Vec::new(),
             halted: false,
-            cache: None,
+            cache: Some(BlockCache::default()),
             block_buf: Vec::new(),
             events: EventSink::disabled(),
             mix: None,
@@ -162,9 +164,9 @@ impl Iss {
 
     /// Enables or disables the predecoded basic-block fast path.
     ///
-    /// Off by default. Turning it off drops all cached blocks; turning it
-    /// on starts with an empty cache. Either way the observable behaviour
-    /// of [`Iss::run`] is unchanged — only its speed.
+    /// On by default. Turning it off drops all cached blocks; turning it
+    /// back on starts with an empty cache. Either way the observable
+    /// behaviour of [`Iss::run`] is unchanged — only its speed.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.cache = enabled.then(|| self.cache.take().unwrap_or_default());
     }
@@ -310,11 +312,6 @@ impl Iss {
     #[must_use]
     pub fn state(&self) -> &ArchState {
         &self.state
-    }
-
-    /// Mutable access to the architectural state (for test setup).
-    pub fn state_mut(&mut self) -> &mut ArchState {
-        &mut self.state
     }
 
     /// Direct access to memory.

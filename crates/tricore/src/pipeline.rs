@@ -1392,6 +1392,7 @@ mod tests {
         iss.map_region(Addr(0xD000_0000), 0x1_0000);
         iss.init_csa(Addr(0xD000_8000), 32).unwrap();
         iss.load(&image).unwrap();
+        iss.set_fast_path(false);
         iss.run(1_000_000).expect("golden run")
     }
 

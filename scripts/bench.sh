@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Perf-trajectory driver: runs the Criterion suites and regenerates the
-# machine-readable BENCH_*.json points. Run from anywhere.
+# Perf-trajectory driver: regenerates the machine-readable BENCH_*.json
+# points. Run from anywhere.
 #
 # Wall-clock numbers measure *the simulator on this host*, not the
 # modeled silicon. Every committed BENCH_*.json records the git revision
@@ -9,9 +9,6 @@
 # across runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-echo "==> criterion: cargo bench -p audo-bench"
-cargo bench -p audo-bench --bench paper
 
 echo "==> BENCH_tiers.json (ISS and pipeline fast paths, instrumentation overhead)"
 # Verifies pipeline cycle-identity before timing, then interleaves every

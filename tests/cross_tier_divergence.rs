@@ -18,13 +18,10 @@
 //!
 //! The stock SoC workload variants (engine / transmission / chassis) run
 //! interrupt-driven on the full platform, so they are swept pipeline
-//! cached vs. uncached on the `Soc`, down to the rendered metrics
-//! snapshot.
+//! cached vs. uncached on the `Soc` in lockstep, cycle by cycle, down to
+//! the rendered metrics snapshot.
 
 use audo_common::{Addr, Cycle, EventSink, SourceId};
-use audo_obs::{metrics_text, Registry};
-use audo_platform::config::SocConfig;
-use audo_platform::Soc;
 use audo_tricore::arch::init_csa_list;
 use audo_tricore::bus::TestBus;
 use audo_tricore::iss::{Iss, IssRun};
@@ -163,37 +160,14 @@ fn literate_corpus_agrees_across_its_pinned_tiers() {
 }
 
 /// All stock SoC workload variants, pipeline cached vs. uncached on the
-/// full platform: cycles, retired instructions, register file and the
-/// rendered metrics snapshot (modulo the predecode cache's own counters)
-/// must be byte-identical.
+/// full platform in lockstep: every cycle's events, bus transactions,
+/// retired count and halt, then the register file and the rendered
+/// metrics snapshot (modulo the predecode cache's own counters) must be
+/// identical.
 #[test]
 #[ignore = "slow: three full SoC workloads, two runs each (CI runs with --include-ignored)"]
 fn stock_workload_variants_identical_cached_vs_uncached() {
     for w in stock_workloads() {
-        let run = |fast: bool| {
-            let mut soc = Soc::new(SocConfig::default());
-            soc.tricore.set_fast_path(fast);
-            w.install(&mut soc).unwrap();
-            let cycles = soc.run_to_halt(w.max_cycles).expect("halts");
-            let mut reg = Registry::new();
-            soc.export_obs(&mut reg);
-            let metrics: String = metrics_text::render(&reg, "audo")
-                .lines()
-                .filter(|l| !l.contains("predecode"))
-                .map(|l| format!("{l}\n"))
-                .collect();
-            (
-                cycles,
-                soc.tricore.retired_total(),
-                soc.tricore.arch().d,
-                metrics,
-            )
-        };
-        let slow = run(false);
-        let fast = run(true);
-        assert_eq!(slow.0, fast.0, "{}: cycles", w.name);
-        assert_eq!(slow.1, fast.1, "{}: retired", w.name);
-        assert_eq!(slow.2, fast.2, "{}: d regs", w.name);
-        assert_eq!(slow.3, fast.3, "{}: rendered metrics", w.name);
+        audo_bench::tiers::check_soc_identity(&w).unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -11,9 +11,8 @@
 //! 3. the pinned `st.h`/`st.b` seed programs from `seed_regressions.rs`,
 //!    replayed cache-on vs. cache-off.
 
-use audo_common::{Addr, Cycle, EventRecord, SourceId};
-use audo_mcds::select::{EventClass, EventSelector};
-use audo_mcds::{Basis, Mcds, RateProbe};
+use audo_common::Addr;
+use audo_fuzz::tiers::mcds_trace_bytes;
 use audo_tricore::asm::assemble;
 use audo_tricore::iss::{Iss, IssRun, RunStop};
 
@@ -269,31 +268,6 @@ fn pinned_seed_programs_agree_cache_on_vs_off() {
         let (slow, fast) = run_both_ways(src);
         assert_identical(&slow, &fast, src);
     }
-}
-
-/// Encodes an ISS event stream through a fully armed MCDS (program trace
-/// plus an instruction-rate probe) and returns the raw trace bytes.
-fn mcds_trace_bytes(events: &[EventRecord]) -> Vec<u8> {
-    let mut mcds = Mcds::builder()
-        .program_trace()
-        .probe(RateProbe {
-            event: EventSelector::of(EventClass::InstrRetired).from(SourceId::TRICORE),
-            basis: Basis::Cycles(4),
-            group: None,
-        })
-        .build()
-        .unwrap();
-    let mut out = Vec::new();
-    let last = events.last().map_or(0, |e| e.cycle.0);
-    let mut i = 0;
-    for cy in 0..=last {
-        let start = i;
-        while i < events.len() && events[i].cycle.0 == cy {
-            i += 1;
-        }
-        mcds.observe(Cycle(cy), &events[start..i], &[], &mut out);
-    }
-    out
 }
 
 /// The acceptance bar from the issue: MCDS trace output is **byte

@@ -1,5 +1,5 @@
 //! End-to-end methodology checks: the fast paper experiments must pass
-//! under `cargo test`; the full suite (`run_all`) is exercised by the
+//! under `cargo test`; the full suite (`run_selected`) is exercised by the
 //! `experiments` binary and kept behind `--ignored` here because the
 //! architecture sweeps replay many full workloads.
 

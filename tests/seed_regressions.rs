@@ -27,6 +27,7 @@ fn run_iss(src: &str) -> [u32; 16] {
     iss.map_region(Addr(0xD000_0000), 0x10000);
     iss.init_csa(Addr(0xD000_8000), 32).unwrap();
     iss.load(&image).unwrap();
+    iss.set_fast_path(false);
     iss.run(1_000_000).expect("golden run completes").state.d
 }
 

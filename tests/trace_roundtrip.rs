@@ -153,6 +153,7 @@ fn reconstruction_matches_golden_pc_sequence() {
     iss.map_region(Addr(0xD000_0000), 0x10000);
     iss.init_csa(Addr(0xD000_8000), 32).unwrap();
     iss.load(&image).unwrap();
+    iss.set_fast_path(false);
     let mut golden_pcs = Vec::new();
     while !iss.is_halted() {
         golden_pcs.push(iss.state().pc);

@@ -8,18 +8,26 @@
 //! tracing … for the developer's viewing" (§3) possible at less than a
 //! byte per instruction.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use audo_common::events::FlowKind;
 use audo_common::{Addr, Cycle, SimError, SourceId};
 use audo_mcds::TraceMessage;
 use audo_obs::FoldedStacks;
+use audo_tricore::decode_cache::BlockHasher;
 use audo_tricore::encode::decode;
 use audo_tricore::isa::{AReg, Instr};
 use audo_tricore::Image;
 
 /// Frame name used when a PC falls outside every image symbol.
 const UNKNOWN_FRAME: &str = "<unknown>";
+
+/// Most PCs reserved up front from the messages' instruction counts. A
+/// real session walks about a million; a corrupt stream claiming billions
+/// fails in the walk, not in the allocator.
+const MAX_PC_RESERVE: u64 = 1 << 24;
 
 /// The reconstructed execution of one core.
 #[derive(Debug, Clone, Default)]
@@ -47,37 +55,66 @@ pub struct FlowReconstruction {
 /// frame (the handler's symbol becomes the new leaf). The leaf frame is
 /// always re-derived from the image symbol containing the current PC, which
 /// also makes tail jumps between functions attribute correctly.
-#[derive(Default)]
-struct StackTracker {
+///
+/// Frames are indices into `names`; names are joined only when a stack's
+/// samples are flushed.
+struct StackTracker<'a> {
+    /// Frame names: the image's symbols in name order, then
+    /// [`UNKNOWN_FRAME`] unless a symbol already carries that name.
+    names: Vec<&'a str>,
+    /// The frame of PCs outside every symbol.
+    unknown: u32,
     /// Caller frames, outermost first (the leaf is implicit).
-    callers: Vec<String>,
+    callers: Vec<u32>,
     /// The current leaf frame, once known.
-    leaf: Option<String>,
+    leaf: Option<u32>,
     /// Samples attributed to the current `callers + leaf` stack but not
     /// yet flushed into the folded map.
     pending: u64,
+    /// The folded line being flushed (kept for its capacity).
+    line: String,
 }
 
-impl StackTracker {
+impl<'a> StackTracker<'a> {
+    fn new(image: &'a Image) -> StackTracker<'a> {
+        let mut names: Vec<&str> = image.symbols().keys().map(String::as_str).collect();
+        let unknown = names
+            .iter()
+            .position(|&n| n == UNKNOWN_FRAME)
+            .unwrap_or_else(|| {
+                names.push(UNKNOWN_FRAME);
+                names.len() - 1
+            }) as u32;
+        StackTracker {
+            names,
+            unknown,
+            callers: Vec::new(),
+            leaf: None,
+            pending: 0,
+            line: String::new(),
+        }
+    }
+
     fn flush(&mut self, folded: &mut FoldedStacks) {
         if self.pending > 0 {
-            if let Some(leaf) = &self.leaf {
-                let mut line = self.callers.join(";");
-                if !line.is_empty() {
-                    line.push(';');
+            if let Some(leaf) = self.leaf {
+                self.line.clear();
+                for &frame in &self.callers {
+                    self.line.push_str(self.names[frame as usize]);
+                    self.line.push(';');
                 }
-                line.push_str(leaf);
-                folded.add_folded(&line, self.pending);
+                self.line.push_str(self.names[leaf as usize]);
+                folded.add_folded(&self.line, self.pending);
             }
             self.pending = 0;
         }
     }
 
-    /// Attributes one instruction at `sym` to the current stack.
-    fn retire(&mut self, sym: &str, folded: &mut FoldedStacks) {
-        if self.leaf.as_deref() != Some(sym) {
+    /// Attributes one instruction in `frame` to the current stack.
+    fn retire(&mut self, frame: u32, folded: &mut FoldedStacks) {
+        if self.leaf != Some(frame) {
             self.flush(folded);
-            self.leaf = Some(sym.to_string());
+            self.leaf = Some(frame);
         }
         self.pending += 1;
     }
@@ -117,11 +154,43 @@ fn static_target(instr: &Instr, pc: u32) -> Option<u32> {
     })
 }
 
+/// What the walk needs of the instruction at one PC.
+#[derive(Clone, Copy)]
+struct Decoded {
+    instr: Instr,
+    len: u8,
+    /// Index of the containing symbol in [`Image::symbols`] (name order).
+    symbol: Option<u32>,
+}
+
+/// Decodes the instruction at `pc` and finds its symbol. The symbol is
+/// the one [`Image::symbol_containing`] names: the closest at or below
+/// `pc`, and among labels at one address the last in name order.
+fn decode_at(image: &Image, pc: u32) -> Result<Decoded, SimError> {
+    let bytes = image
+        .bytes_at(Addr(pc), 4)
+        .or_else(|| image.bytes_at(Addr(pc), 2))
+        .ok_or_else(|| err(format!("trace walked outside the image at {:#x}", pc)))?;
+    let (instr, len) = decode(&bytes, Addr(pc))?;
+    let symbol = image
+        .symbols()
+        .values()
+        .enumerate()
+        .filter(|&(_, &a)| a <= pc)
+        .max_by_key(|&(_, &a)| a)
+        .map(|(i, _)| i as u32);
+    Ok(Decoded { instr, len, symbol })
+}
+
 /// Reconstructs the TriCore's retired-PC stream from decoded messages.
 ///
 /// Messages before the first synchronising [`TraceMessage::FlowTarget`] are
 /// skipped (the decoder does not yet know where execution is), mirroring
 /// how a real trace tool locks on.
+///
+/// Each distinct PC is decoded and symbolised once, so the cost is in the
+/// messages and the distinct PCs walked; per walked instruction the walk
+/// does one map lookup and a few counter updates.
 ///
 /// # Errors
 ///
@@ -134,7 +203,22 @@ pub fn reconstruct_flow(
 ) -> Result<FlowReconstruction, SimError> {
     let mut rec = FlowReconstruction::default();
     let mut pos: Option<u32> = None;
-    let mut stack = StackTracker::default();
+    let mut stack = StackTracker::new(image);
+    let mut memo: HashMap<u32, Decoded, BuildHasherDefault<BlockHasher>> = HashMap::default();
+    let mut per_symbol = vec![0u64; image.symbols().len()];
+    let walked: u64 = messages
+        .iter()
+        .map(|(_, msg)| match *msg {
+            TraceMessage::FlowDirect { source, icnt }
+            | TraceMessage::FlowTarget { source, icnt, .. }
+                if source == SourceId::TRICORE =>
+            {
+                u64::from(icnt)
+            }
+            _ => 0,
+        })
+        .sum();
+    rec.pcs.reserve_exact(walked.min(MAX_PC_RESERVE) as usize);
 
     for (_, msg) in messages {
         let (icnt, explicit_target, kind) = match *msg {
@@ -177,18 +261,17 @@ pub fn reconstruct_flow(
         // Walk `icnt` instructions from `pc`.
         let async_flow = matches!(kind, Some(FlowKind::Exception));
         for i in 0..icnt {
-            let bytes = image
-                .bytes_at(Addr(pc), 4)
-                .or_else(|| image.bytes_at(Addr(pc), 2))
-                .ok_or_else(|| err(format!("trace walked outside the image at {:#x}", pc)))?;
-            let (instr, len) = decode(&bytes, Addr(pc))?;
+            // Only successes are memoised: a failing PC fails every time.
+            let Decoded { instr, len, symbol } = match memo.entry(pc) {
+                Entry::Occupied(hit) => *hit.get(),
+                Entry::Vacant(miss) => *miss.insert(decode_at(image, pc)?),
+            };
             rec.pcs.push(pc);
             rec.instr_count += 1;
-            let sym = image.symbol_containing(Addr(pc));
-            if let Some(sym) = sym {
-                *rec.per_symbol.entry(sym.to_string()).or_insert(0) += 1;
+            if let Some(sym) = symbol {
+                per_symbol[sym as usize] += 1;
             }
-            stack.retire(sym.unwrap_or(UNKNOWN_FRAME), &mut rec.folded);
+            stack.retire(symbol.unwrap_or(stack.unknown), &mut rec.folded);
             match instr {
                 Instr::Call { .. } | Instr::CallI { .. } | Instr::Jl { .. } => {
                     stack.call(&mut rec.folded);
@@ -233,6 +316,13 @@ pub fn reconstruct_flow(
         pos = Some(pc);
     }
     stack.flush(&mut rec.folded);
+    rec.per_symbol = image
+        .symbols()
+        .keys()
+        .zip(per_symbol)
+        .filter(|&(_, n)| n > 0)
+        .map(|(name, n)| (name.clone(), n))
+        .collect();
     Ok(rec)
 }
 
@@ -270,6 +360,127 @@ mod tests {
         assert!(out.decode_error.is_none());
         let retired = ed.soc.tricore.retired_total();
         (image, out.messages, retired)
+    }
+
+    fn lock_on(target: u32) -> (Cycle, TraceMessage) {
+        (
+            Cycle(0),
+            TraceMessage::FlowTarget {
+                source: SourceId::TRICORE,
+                kind: FlowKind::BranchTaken,
+                icnt: 0,
+                target: Addr(target),
+                sync: true,
+            },
+        )
+    }
+
+    fn direct(icnt: u32) -> (Cycle, TraceMessage) {
+        (
+            Cycle(0),
+            TraceMessage::FlowDirect {
+                source: SourceId::TRICORE,
+                icnt,
+            },
+        )
+    }
+
+    fn indirect(icnt: u32, target: u32) -> (Cycle, TraceMessage) {
+        (
+            Cycle(0),
+            TraceMessage::FlowTarget {
+                source: SourceId::TRICORE,
+                kind: FlowKind::Indirect,
+                icnt,
+                target: Addr(target),
+                sync: false,
+            },
+        )
+    }
+
+    #[test]
+    fn two_labels_at_one_address_attribute_to_the_last_name() {
+        let image = assemble(
+            "
+            .org 0x80000000
+        _start:
+            movi d0, 0
+        zeta:
+        alpha:
+            movi d1, 1
+            j _start
+        ",
+        )
+        .unwrap();
+        let shared = image.symbol("zeta").unwrap();
+        assert_eq!(image.symbol("alpha"), Some(shared));
+        assert_eq!(image.symbol_containing(shared), Some("zeta"));
+        let rec = reconstruct_flow(&image, &[lock_on(0x8000_0000), direct(3), direct(3)]).unwrap();
+        let expected: BTreeMap<String, u64> = [("_start".into(), 2), ("zeta".into(), 4)].into();
+        assert_eq!(rec.per_symbol, expected);
+        assert_eq!(rec.folded.count("zeta"), 4);
+        assert_eq!(rec.folded.count("alpha"), 0);
+        assert_eq!(rec.pcs.len(), 6);
+    }
+
+    #[test]
+    fn inconsistent_streams_fail_with_the_walk_errors() {
+        let image = assemble(
+            "
+            .org 0x80000000
+        _start:
+            j next
+        next:
+            movi d0, 0
+        ",
+        )
+        .unwrap();
+        let next = image.symbol("next").unwrap().0;
+        let fails = |messages: &[(Cycle, TraceMessage)], message: String| {
+            assert_eq!(
+                reconstruct_flow(&image, messages).unwrap_err(),
+                SimError::DecodeTrace { offset: 0, message }
+            );
+        };
+        fails(
+            &[lock_on(0x9000_0000), direct(1)],
+            "trace walked outside the image at 0x90000000".into(),
+        );
+        fails(
+            &[lock_on(next), direct(1)],
+            format!("direct flow message but instruction at {next:#x} has no static target"),
+        );
+        fails(
+            &[lock_on(0x8000_0000), direct(2)],
+            "straight-line walk crossed unconditional control flow at 0x80000000".into(),
+        );
+    }
+
+    #[test]
+    fn an_error_at_a_new_pc_follows_memo_hits() {
+        let image = assemble(
+            "
+            .org 0x80000000
+        _start:
+            movi d0, 0
+            movi d1, 1
+        ",
+        )
+        .unwrap();
+        assert_eq!(image.size(), 8, "two 32-bit instructions");
+        // The first walk memoises both instructions; the second hits both
+        // and then runs off the end of the image.
+        let messages = [
+            lock_on(0x8000_0000),
+            indirect(2, 0x8000_0000),
+            indirect(3, 0x8000_0000),
+        ];
+        let ok = reconstruct_flow(&image, &messages[..2]).unwrap();
+        assert_eq!(ok.pcs, [0x8000_0000, 0x8000_0004]);
+        assert_eq!(
+            reconstruct_flow(&image, &messages).unwrap_err(),
+            err("trace walked outside the image at 0x80000008")
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod trace_ctrl;
 use audo_common::{Addr, Cycle, EventRecord, SimError};
 use audo_mcds::Mcds;
 use audo_platform::config::{SocConfig, EMEM_BASE};
-use audo_platform::fabric::OvcEntry;
+use audo_platform::fabric::{Fabric, OvcEntry};
 use audo_platform::soc::{CycleObservation, Soc};
 
 pub use tool_port::CerberusPort;
@@ -164,11 +164,9 @@ impl EmulationDevice {
         // Seed the overlay page with the underlying flash bytes.
         let flash_addr = Addr(audo_platform::config::PFLASH_BASE.0 + flash_page * page);
         let bytes = self.soc.fabric.peek_bytes(flash_addr, page as usize)?;
-        for (i, b) in bytes.iter().enumerate() {
-            self.soc
-                .fabric
-                .poke(EMEM_BASE.offset(emem_off + i as u32), 1, u32::from(*b))?;
-        }
+        self.soc
+            .fabric
+            .poke_bytes(EMEM_BASE.offset(emem_off), &bytes)?;
         self.soc.fabric.overlay.set_entry(
             slot,
             OvcEntry {
@@ -211,18 +209,8 @@ impl EmulationDevice {
         if let Some(mcds) = &mut self.mcds {
             mcds.observe(obs.cycle, &obs.events, &obs.bus, &mut self.scratch);
         }
-        let produced = self.scratch.len() as u32;
-        let mut consumed = 0usize;
-        for p in self.trace.reserve(produced) {
-            for i in 0..p.len {
-                let b = self.scratch[consumed + i as usize];
-                self.soc
-                    .fabric
-                    .poke(EMEM_BASE.offset(p.region_offset + i), 1, u32::from(b))?;
-            }
-            consumed += p.len as usize;
-        }
-        Ok((produced, halted))
+        store_trace(&mut self.trace, &mut self.soc.fabric, &self.scratch)?;
+        Ok((self.scratch.len() as u32, halted))
     }
 
     /// Downloads up to `max` trace bytes (host side, via Cerberus). The
@@ -234,13 +222,11 @@ impl EmulationDevice {
     pub fn drain_trace(&mut self, max: u32) -> Result<Vec<u8>, SimError> {
         let mut out = Vec::new();
         for p in self.trace.pop(max) {
-            for i in 0..p.len {
-                out.push(
-                    self.soc
-                        .fabric
-                        .peek(EMEM_BASE.offset(p.region_offset + i), 1)? as u8,
-                );
-            }
+            let piece = self
+                .soc
+                .fabric
+                .peek_bytes(EMEM_BASE.offset(p.region_offset), p.len as usize)?;
+            out.extend_from_slice(&piece);
         }
         Ok(out)
     }
@@ -261,12 +247,7 @@ impl EmulationDevice {
     ///
     /// Fails on unmapped addresses.
     pub fn tool_write(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), SimError> {
-        for (i, b) in bytes.iter().enumerate() {
-            self.soc
-                .fabric
-                .poke(addr.offset(i as u32), 1, u32::from(*b))?;
-        }
-        Ok(())
+        self.soc.fabric.poke_bytes(addr, bytes)
     }
 
     /// Runs until `HALT` or `max_cycles`, invoking `on_step` per cycle.
@@ -321,6 +302,25 @@ impl EmulationDevice {
     pub fn now(&self) -> Cycle {
         self.soc.now()
     }
+}
+
+/// Stores one cycle's trace `bytes` in the EMEM trace ring: one bulk copy
+/// per ring piece (at most two, around the wrap).
+fn store_trace(
+    trace: &mut TraceController,
+    fabric: &mut Fabric,
+    bytes: &[u8],
+) -> Result<(), SimError> {
+    if bytes.is_empty() {
+        return Ok(());
+    }
+    let mut consumed = 0usize;
+    for p in trace.reserve(bytes.len() as u32) {
+        let piece = &bytes[consumed..consumed + p.len as usize];
+        fabric.poke_bytes(EMEM_BASE.offset(p.region_offset), piece)?;
+        consumed += piece.len();
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -410,6 +410,52 @@ mod tests {
                 .any(|(_, m)| matches!(m, TraceMessage::FlowDirect { .. })),
             "flow messages decoded from EMEM"
         );
+    }
+
+    #[test]
+    fn bulk_ring_copies_match_byte_pokes() {
+        use audo_tricore::CoreBus;
+        // A 16-byte ring: the fourth 5-byte write wraps around, and the
+        // 20-byte write overflows the whole region.
+        let cfg = EdConfig {
+            trace_bytes: 16,
+            trace_mode: TraceMode::Ring,
+        };
+        let mut bulk = EmulationDevice::new(SocConfig::default(), cfg.clone());
+        let mut single = EmulationDevice::new(SocConfig::default(), cfg);
+        for (k, len) in [5u8, 5, 5, 5, 20].into_iter().enumerate() {
+            let bytes: Vec<u8> = (0..len).map(|i| 32 * k as u8 + i).collect();
+            store_trace(&mut bulk.trace, &mut bulk.soc.fabric, &bytes).unwrap();
+            let mut consumed = 0usize;
+            for p in single.trace.reserve(u32::from(len)) {
+                for i in 0..p.len {
+                    let b = bytes[consumed + i as usize];
+                    let at = EMEM_BASE.offset(p.region_offset + i);
+                    single.soc.fabric.poke(at, 1, u32::from(b)).unwrap();
+                }
+                consumed += p.len as usize;
+            }
+            assert_eq!(
+                bulk.soc.fabric.peek_bytes(EMEM_BASE, 16).unwrap(),
+                single.soc.fabric.peek_bytes(EMEM_BASE, 16).unwrap(),
+                "EMEM after write {k}"
+            );
+            assert_eq!(
+                bulk.soc.fabric.code_region(EMEM_BASE),
+                single.soc.fabric.code_region(EMEM_BASE),
+                "EMEM write generation after write {k}"
+            );
+        }
+        assert_eq!(bulk.trace.total_written(), 36);
+        // Reading the ring back in bulk returns what byte peeks return.
+        let mut expected = Vec::new();
+        for p in single.trace.pop(16) {
+            for i in 0..p.len {
+                let at = EMEM_BASE.offset(p.region_offset + i);
+                expected.push(single.soc.fabric.peek(at, 1).unwrap() as u8);
+            }
+        }
+        assert_eq!(bulk.drain_trace(16).unwrap(), expected);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use audo_common::{BusTransaction, Cycle, EventRecord, PerfEvent, SimError, SourceId};
 
 use crate::msg::{Encoder, TraceMessage};
-use crate::rates::{cycle_contribution, ProbeState, RateProbe};
-use crate::select::EventSelector;
+use crate::rates::{ProbeState, RateProbe};
+use crate::select::{EventClass, EventSelector, Kind};
 use crate::trigger::{Action, Comparator, StateMachine, TraceUnit, Transition, TriggerFacts};
 
 /// Silicon resource capacities of one MCDS instance.
@@ -253,10 +253,26 @@ impl McdsBuilder {
             }
         }
         let n_probes = self.probes.len();
+        let mut taps = Taps::default();
+        let probe_taps = self
+            .probes
+            .iter()
+            .map(|p| (taps.index(p.event), taps.index(p.basis.selector())))
+            .collect();
+        let counters = self
+            .counters
+            .iter()
+            .map(|&sel| (taps.index(sel), 0))
+            .collect();
+        let retire_tap =
+            taps.index(EventSelector::of(EventClass::InstrRetired).from(SourceId::TRICORE));
         Ok(Mcds {
             probes: self.probes,
+            probe_taps,
             probe_state: vec![ProbeState::default(); n_probes],
-            counters: self.counters.iter().map(|&sel| (sel, 0u64)).collect(),
+            taps,
+            retire_tap,
+            counters,
             comparators: self.comparators,
             arm_rules: self.arm_rules,
             sm: StateMachine::new(self.transitions),
@@ -279,6 +295,76 @@ impl McdsBuilder {
     }
 }
 
+/// One event selector of the MCDS and its sum over the current cycle.
+#[derive(Debug)]
+struct Tap {
+    sel: EventSelector,
+    /// `sel.kind_mask()`.
+    mask: u32,
+    /// `sel.per_cycle_weight()`: the sum before any event.
+    base: u64,
+    /// This cycle's weight.
+    sum: u64,
+}
+
+/// The distinct event selectors behind every probe numerator, probe
+/// denominator, trigger counter and the program-trace retire count,
+/// compiled once at [`McdsBuilder::build`] so that [`Mcds::observe`]
+/// walks a cycle's events once for all of them.
+#[derive(Debug, Default)]
+struct Taps {
+    taps: Vec<Tap>,
+    /// Union of the kind masks: an event outside it weighs zero
+    /// everywhere.
+    any: u32,
+}
+
+impl Taps {
+    /// The tap of `sel`, added on first use.
+    fn index(&mut self, sel: EventSelector) -> usize {
+        self.taps
+            .iter()
+            .position(|t| t.sel == sel)
+            .unwrap_or_else(|| {
+                self.taps.push(Tap {
+                    sel,
+                    mask: sel.kind_mask(),
+                    base: sel.per_cycle_weight(),
+                    sum: 0,
+                });
+                self.any |= sel.kind_mask();
+                self.taps.len() - 1
+            })
+    }
+
+    /// Sums one cycle's weight per tap; returns the [`Kind`] bits of
+    /// every event present.
+    fn walk(&mut self, events: &[EventRecord]) -> u32 {
+        for t in &mut self.taps {
+            t.sum = t.base;
+        }
+        let mut present = 0;
+        for e in events {
+            let bit = Kind::of(&e.event).bit();
+            present |= bit;
+            if bit & self.any == 0 {
+                continue;
+            }
+            for t in &mut self.taps {
+                if t.mask & bit != 0 {
+                    t.sum += t.sel.weight(e);
+                }
+            }
+        }
+        present
+    }
+
+    /// Tap `i`'s sum over the last walked cycle.
+    fn sum(&self, i: usize) -> u64 {
+        self.taps[i].sum
+    }
+}
+
 /// Per-cycle trigger facts, kept across cycles so [`Mcds::observe`] reuses
 /// their capacity instead of allocating.
 #[derive(Debug, Default)]
@@ -293,8 +379,14 @@ struct Scratch {
 #[derive(Debug)]
 pub struct Mcds {
     probes: Vec<RateProbe>,
+    /// `(numerator, denominator)` tap of each probe.
+    probe_taps: Vec<(usize, usize)>,
     probe_state: Vec<ProbeState>,
-    counters: Vec<(EventSelector, u64)>,
+    taps: Taps,
+    /// Tap of the TriCore's retired instructions (program trace `icnt`).
+    retire_tap: usize,
+    /// `(tap, value)` of each trigger counter.
+    counters: Vec<(usize, u64)>,
     comparators: Vec<Comparator>,
     arm_rules: Vec<(crate::trigger::Cond, u8)>,
     sm: StateMachine,
@@ -368,92 +460,28 @@ impl Mcds {
         bus: &[BusTransaction],
         out: &mut Vec<u8>,
     ) {
-        let Scratch {
-            mut comp_matches,
-            mut last_rates,
-            mut counter_values,
-            mut actions,
-        } = std::mem::take(&mut self.scratch);
-
-        // 1. Comparators.
-        comp_matches.clear();
-        comp_matches.extend(self.comparators.iter().map(|c| c.matches(events, bus)));
+        // 1. One walk over the events: every tap's weight this cycle.
+        let present = self.taps.walk(events);
 
         // 2. Trigger counters.
-        for (sel, value) in &mut self.counters {
-            *value += events.iter().map(|e| sel.weight(e)).sum::<u64>() + sel.per_cycle_weight();
+        for (tap, value) in &mut self.counters {
+            *value += self.taps.sum(*tap);
         }
 
-        // 3. State machine.
-        last_rates.clear();
-        last_rates.extend(self.probe_state.iter().map(|s| s.last_window));
-        counter_values.clear();
-        counter_values.extend(self.counters.iter().map(|(_, v)| *v));
-        actions.clear();
-        actions.extend_from_slice(self.sm.step(&TriggerFacts {
-            comp_matches: &comp_matches,
-            counter_values: &counter_values,
-            last_rates: &last_rates,
-        }));
-        for &a in &actions {
-            match a {
-                Action::TraceOn(u) => self.set_trace(u, true),
-                Action::TraceOff(u) => self.set_trace(u, false),
-                Action::EmitWatchpoint(code) => {
-                    self.watchpoints.push((cycle, code));
-                    if !self.stopped {
-                        self.enc
-                            .emit(cycle, &TraceMessage::Watchpoint { code }, out);
-                    }
-                }
-                Action::ArmGroup(g) => self.armed_groups |= 1 << g,
-                Action::DisarmGroup(g) => {
-                    self.armed_groups &= !(1 << g);
-                    for (cfg, st) in self.probes.iter().zip(&mut self.probe_state) {
-                        if cfg.group == Some(g) {
-                            st.reset_window();
-                        }
-                    }
-                }
-                Action::ResetCounter(i) => {
-                    if let Some(c) = self.counters.get_mut(i) {
-                        c.1 = 0;
-                    }
-                }
-                Action::StopCapture => self.stopped = true,
-            }
-        }
-
-        // 3b. Level-sensitive arm rules (independent cascades).
-        for i in 0..self.arm_rules.len() {
-            let hold = {
-                let facts = TriggerFacts {
-                    comp_matches: &comp_matches,
-                    counter_values: &counter_values,
-                    last_rates: &last_rates,
-                };
-                self.arm_rules[i].0.eval(&facts)
-            };
-            let g = self.arm_rules[i].1;
-            let was = self.armed_groups & (1 << g) != 0;
-            if hold && !was {
-                self.armed_groups |= 1 << g;
-            } else if !hold && was {
-                self.armed_groups &= !(1 << g);
-                for (cfg, st) in self.probes.iter().zip(&mut self.probe_state) {
-                    if cfg.group == Some(g) {
-                        st.reset_window();
-                    }
-                }
-            }
+        // 3. Comparators, state machine and arm rules, when programmed:
+        //    only transitions and arm rules read what they compute.
+        if !self.sm.transitions.is_empty() || !self.arm_rules.is_empty() {
+            self.trigger(cycle, events, bus, out);
         }
 
         // 4. Rate probes (cascade-aware).
-        for (idx, cfg) in self.probes.iter().enumerate() {
+        for (idx, (cfg, &(num_tap, den_tap))) in
+            self.probes.iter().zip(&self.probe_taps).enumerate()
+        {
             if !self.group_armed(cfg.group) {
                 continue;
             }
-            let (n, d) = cycle_contribution(cfg, events);
+            let (n, d) = (self.taps.sum(num_tap), self.taps.sum(den_tap));
             if let Some((num, den)) = self.probe_state[idx].accumulate(cfg, n, d) {
                 if !self.stopped {
                     self.enc.emit(
@@ -469,27 +497,16 @@ impl Mcds {
             }
         }
 
-        self.scratch = Scratch {
-            comp_matches,
-            last_rates,
-            counter_values,
-            actions,
-        };
         if self.stopped {
             return;
         }
 
         // 5. Program trace (TriCore).
         if self.ptrace_tricore {
-            let retired: u32 = events
-                .iter()
-                .filter(|e| e.source == SourceId::TRICORE)
-                .map(|e| match e.event {
-                    PerfEvent::InstrRetired { count } => u32::from(count),
-                    _ => 0,
-                })
-                .sum();
-            self.icnt += retired;
+            // At most three instructions retire per cycle.
+            self.icnt += self.taps.sum(self.retire_tap) as u32;
+        }
+        if self.ptrace_tricore && present & Kind::FlowChange.bit() != 0 {
             for e in events {
                 if e.source != SourceId::TRICORE {
                     continue;
@@ -529,7 +546,8 @@ impl Mcds {
         }
 
         // 6. PCP channel trace.
-        if self.pcp_trace {
+        let pcp_kinds = Kind::PcpChannelStart.bit() | Kind::PcpChannelExit.bit();
+        if self.pcp_trace && present & pcp_kinds != 0 {
             for e in events {
                 match e.event {
                     PerfEvent::PcpChannelStart { channel } => self.enc.emit(
@@ -554,7 +572,8 @@ impl Mcds {
         }
 
         // 7. Qualified data trace.
-        if let (true, Some(q)) = (self.data_gate, self.data_qual) {
+        let data_present = present & Kind::DataValue.bit() != 0;
+        if let (true, true, Some(q)) = (self.data_gate, data_present, self.data_qual) {
             for e in events {
                 if let PerfEvent::DataValue {
                     addr,
@@ -601,6 +620,98 @@ impl Mcds {
                 }
             }
         }
+    }
+
+    /// Evaluates the comparators, steps the trigger state machine and
+    /// applies its actions, then the arm rules.
+    fn trigger(
+        &mut self,
+        cycle: Cycle,
+        events: &[EventRecord],
+        bus: &[BusTransaction],
+        out: &mut Vec<u8>,
+    ) {
+        let Scratch {
+            mut comp_matches,
+            mut last_rates,
+            mut counter_values,
+            mut actions,
+        } = std::mem::take(&mut self.scratch);
+
+        // Comparators.
+        comp_matches.clear();
+        comp_matches.extend(self.comparators.iter().map(|c| c.matches(events, bus)));
+
+        // State machine.
+        last_rates.clear();
+        last_rates.extend(self.probe_state.iter().map(|s| s.last_window));
+        counter_values.clear();
+        counter_values.extend(self.counters.iter().map(|(_, v)| *v));
+        actions.clear();
+        actions.extend_from_slice(self.sm.step(&TriggerFacts {
+            comp_matches: &comp_matches,
+            counter_values: &counter_values,
+            last_rates: &last_rates,
+        }));
+        for &a in &actions {
+            match a {
+                Action::TraceOn(u) => self.set_trace(u, true),
+                Action::TraceOff(u) => self.set_trace(u, false),
+                Action::EmitWatchpoint(code) => {
+                    self.watchpoints.push((cycle, code));
+                    if !self.stopped {
+                        self.enc
+                            .emit(cycle, &TraceMessage::Watchpoint { code }, out);
+                    }
+                }
+                Action::ArmGroup(g) => self.armed_groups |= 1 << g,
+                Action::DisarmGroup(g) => {
+                    self.armed_groups &= !(1 << g);
+                    for (cfg, st) in self.probes.iter().zip(&mut self.probe_state) {
+                        if cfg.group == Some(g) {
+                            st.reset_window();
+                        }
+                    }
+                }
+                Action::ResetCounter(i) => {
+                    if let Some(c) = self.counters.get_mut(i) {
+                        c.1 = 0;
+                    }
+                }
+                Action::StopCapture => self.stopped = true,
+            }
+        }
+
+        // Level-sensitive arm rules (independent cascades).
+        for i in 0..self.arm_rules.len() {
+            let hold = {
+                let facts = TriggerFacts {
+                    comp_matches: &comp_matches,
+                    counter_values: &counter_values,
+                    last_rates: &last_rates,
+                };
+                self.arm_rules[i].0.eval(&facts)
+            };
+            let g = self.arm_rules[i].1;
+            let was = self.armed_groups & (1 << g) != 0;
+            if hold && !was {
+                self.armed_groups |= 1 << g;
+            } else if !hold && was {
+                self.armed_groups &= !(1 << g);
+                for (cfg, st) in self.probes.iter().zip(&mut self.probe_state) {
+                    if cfg.group == Some(g) {
+                        st.reset_window();
+                    }
+                }
+            }
+        }
+
+        self.scratch = Scratch {
+            comp_matches,
+            last_rates,
+            counter_values,
+            actions,
+        };
     }
 
     fn set_trace(&mut self, unit: TraceUnit, on: bool) {
@@ -702,6 +813,127 @@ mod tests {
             vec![(0, 20, 10), (0, 20, 10), (0, 20, 10)],
             "IPC 2.0"
         );
+    }
+
+    /// The one walk over a cycle's events closes exactly the windows the
+    /// per-probe reference, `rates::cycle_contribution`, closes.
+    #[test]
+    fn one_walk_matches_the_per_probe_reference() {
+        use crate::rates::{cycle_contribution, ProbeState};
+        use audo_common::events::{CacheId, FlashPort, StallReason};
+        let instr = |source| Basis::Instructions { source, n: 40 };
+        let probe = |sel: EventSelector, basis| RateProbe {
+            event: sel,
+            basis,
+            group: None,
+        };
+        let probes = [
+            probe(
+                EventSelector::of(EventClass::InstrRetired).from(SourceId::TRICORE),
+                Basis::Cycles(7),
+            ),
+            probe(
+                EventSelector::of(EventClass::IcacheMiss),
+                instr(SourceId::TRICORE),
+            ),
+            probe(
+                EventSelector::of(EventClass::Stall(Some(StallReason::Data))),
+                instr(SourceId::TRICORE),
+            ),
+            probe(
+                EventSelector::of(EventClass::FlashBufferHit(None)).from(SourceId::PMU),
+                Basis::Cycles(11),
+            ),
+            probe(
+                EventSelector::of(EventClass::InstrRetired),
+                instr(SourceId::PCP),
+            ),
+            probe(
+                EventSelector::of(EventClass::Cycles),
+                instr(SourceId::TRICORE),
+            ),
+        ];
+        let templates = [
+            (SourceId::TRICORE, PerfEvent::InstrRetired { count: 1 }),
+            (SourceId::TRICORE, PerfEvent::InstrRetired { count: 3 }),
+            (SourceId::PCP, PerfEvent::InstrRetired { count: 1 }),
+            (
+                SourceId::TRICORE,
+                PerfEvent::CacheMiss {
+                    cache: CacheId::Instruction,
+                },
+            ),
+            (
+                SourceId::TRICORE,
+                PerfEvent::CacheMiss {
+                    cache: CacheId::Data,
+                },
+            ),
+            (
+                SourceId::TRICORE,
+                PerfEvent::Stall {
+                    reason: StallReason::Data,
+                },
+            ),
+            (
+                SourceId::PCP,
+                PerfEvent::Stall {
+                    reason: StallReason::Data,
+                },
+            ),
+            (
+                SourceId::PMU,
+                PerfEvent::FlashBufferHit {
+                    port: FlashPort::Code,
+                },
+            ),
+            (
+                SourceId::DMA,
+                PerfEvent::FlashBufferHit {
+                    port: FlashPort::Data,
+                },
+            ),
+            (SourceId::DMA, PerfEvent::DmaBeat { channel: 0 }),
+        ];
+        let mut builder = Mcds::builder().program_trace();
+        for p in probes {
+            builder = builder.probe(p);
+        }
+        let mut mcds = builder.build().unwrap();
+        let mut reference = [ProbeState::default(); 6];
+        let (mut out, mut expected) = (Vec::new(), Vec::new());
+        let mut rng = 0x5EED;
+        for c in 0..5_000u64 {
+            rng = audo_common::splitmix64(rng);
+            let events: Vec<EventRecord> = (0..rng % 5)
+                .map(|k| {
+                    let (source, event) =
+                        templates[(rng >> (8 + 4 * k)) as usize % templates.len()];
+                    EventRecord {
+                        cycle: Cycle(c),
+                        source,
+                        event,
+                    }
+                })
+                .collect();
+            mcds.observe(Cycle(c), &events, &[], &mut out);
+            for (i, (cfg, st)) in probes.iter().zip(&mut reference).enumerate() {
+                let (n, d) = cycle_contribution(cfg, &events);
+                if let Some((num, den)) = st.accumulate(cfg, n, d) {
+                    expected.push((i as u8, num, den));
+                }
+            }
+        }
+        let seen: Vec<_> = decode_stream(&out)
+            .unwrap()
+            .into_iter()
+            .filter_map(|(_, m)| match m {
+                TraceMessage::Counter { probe, num, den } => Some((probe, num, den)),
+                _ => None,
+            })
+            .collect();
+        assert!(expected.len() > 500, "{} windows", expected.len());
+        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use audo_common::{EventRecord, SourceId};
 
-use crate::select::EventSelector;
+use crate::select::{EventClass, EventSelector};
 
 /// The resolution basis of a rate probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +40,18 @@ impl Basis {
         match *self {
             Basis::Cycles(n) => n,
             Basis::Instructions { n, .. } => n,
+        }
+    }
+
+    /// The denominator as a selector: one per cycle, or the instructions
+    /// `source` retired.
+    #[must_use]
+    pub fn selector(&self) -> EventSelector {
+        match *self {
+            Basis::Cycles(_) => EventSelector::of(EventClass::Cycles),
+            Basis::Instructions { source, .. } => {
+                EventSelector::of(EventClass::InstrRetired).from(source)
+            }
         }
     }
 }
@@ -141,22 +153,15 @@ impl ProbeState {
 }
 
 /// Computes one cycle's (numerator, denominator) contributions for a probe.
+///
+/// [`crate::Mcds`] sums every probe in one walk over the events instead;
+/// this per-probe form is the reference its tests compare against.
 #[must_use]
 pub fn cycle_contribution(cfg: &RateProbe, events: &[EventRecord]) -> (u64, u64) {
-    let num: u64 =
-        events.iter().map(|e| cfg.event.weight(e)).sum::<u64>() + cfg.event.per_cycle_weight();
-    let den = match cfg.basis {
-        Basis::Cycles(_) => 1,
-        Basis::Instructions { source, .. } => events
-            .iter()
-            .filter(|e| e.source == source)
-            .map(|e| match e.event {
-                audo_common::PerfEvent::InstrRetired { count } => u64::from(count),
-                _ => 0,
-            })
-            .sum(),
+    let sum = |sel: EventSelector| {
+        events.iter().map(|e| sel.weight(e)).sum::<u64>() + sel.per_cycle_weight()
     };
-    (num, den)
+    (sum(cfg.event), sum(cfg.basis.selector()))
 }
 
 #[cfg(test)]

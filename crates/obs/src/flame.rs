@@ -44,7 +44,12 @@ impl FoldedStacks {
         if folded.is_empty() || n == 0 {
             return;
         }
-        *self.counts.entry(folded.to_string()).or_insert(0) += n;
+        match self.counts.get_mut(folded) {
+            Some(count) => *count += n,
+            None => {
+                self.counts.insert(folded.to_string(), n);
+            }
+        }
     }
 
     /// Merges another set into this one, optionally nesting every stack

@@ -229,12 +229,18 @@ impl Fabric {
     ///
     /// Fails if any byte is unmapped.
     pub fn peek_bytes(&self, addr: Addr, len: usize) -> Result<Vec<u8>, SimError> {
-        let a = if addr.segment() == PFLASH_UNCACHED_SEG {
-            addr.with_segment(0x8)
-        } else {
-            addr
-        };
-        self.storage.read_bytes(a, len)
+        self.storage.read_bytes(self.canonical(addr), len)
+    }
+
+    /// Writes a byte range via the backdoor: the same bytes and the same
+    /// write-generation bump as one [`Fabric::poke`] per byte, in one copy.
+    ///
+    /// # Errors
+    ///
+    /// Fails at the first unmapped byte (the bytes before it are written).
+    pub fn poke_bytes(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), SimError> {
+        let a = self.canonical(addr);
+        self.storage.write_bytes(a, bytes)
     }
 
     fn canonical(&self, addr: Addr) -> Addr {

@@ -93,12 +93,12 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-/// Deterministic multiplicative hasher for block start PCs. The default
-/// SipHash is both slower on 4-byte keys and seeded per process; block
-/// lookups sit on the dispatch hot path and must not be a source of
-/// run-to-run variation while debugging.
+/// Deterministic multiplicative hasher for block start PCs (and other
+/// PC-keyed maps). The default SipHash is both slower on 4-byte keys and
+/// seeded per process; block lookups sit on the dispatch hot path and
+/// must not be a source of run-to-run variation while debugging.
 #[derive(Debug, Clone, Copy, Default)]
-struct BlockHasher(u64);
+pub struct BlockHasher(u64);
 
 impl std::hash::Hasher for BlockHasher {
     fn finish(&self) -> u64 {

@@ -176,6 +176,30 @@ impl FlatMem {
         Ok(())
     }
 
+    /// Writes `bytes` starting at `addr`, bumping the owning region's
+    /// generation counter by `bytes.len()` — exactly what the same bytes
+    /// written one [`FlatMem::write_byte`] at a time bump it by, so stamps
+    /// taken under either path stay comparable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnmappedAddress`] at the first unmapped byte;
+    /// the bytes before it are written, as with byte-at-a-time writes.
+    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), SimError> {
+        if let Some((idx, off)) = self.locate(addr) {
+            let region = &mut self.regions[idx].1;
+            if let Some(slice) = region.bytes.get_mut(off..off + bytes.len()) {
+                slice.copy_from_slice(bytes);
+                region.generation += bytes.len() as u64;
+                return Ok(());
+            }
+        }
+        for (i, &b) in bytes.iter().enumerate() {
+            self.write_byte(addr.offset(i as u32), b)?;
+        }
+        Ok(())
+    }
+
     /// Reads `len` bytes starting at `addr` into a fresh vector.
     ///
     /// # Errors
@@ -319,6 +343,33 @@ mod tests {
         m.add_region(Addr(0x200), 16);
         m.load(Addr(0x200), &[1, 2, 3, 4]);
         assert_eq!(m.read_bytes(Addr(0x200), 4).unwrap(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn bulk_write_matches_byte_writes() {
+        let bytes = [9, 8, 7, 6, 5];
+        let mut bulk = FlatMem::new();
+        let mut single = FlatMem::new();
+        for m in [&mut bulk, &mut single] {
+            m.add_region(Addr(0x100), 8);
+        }
+        bulk.write_bytes(Addr(0x102), &bytes).unwrap();
+        for (i, &b) in bytes.iter().enumerate() {
+            single.write_byte(Addr(0x102 + i as u32), b).unwrap();
+        }
+        assert_eq!(
+            bulk.read_bytes(Addr(0x100), 8).unwrap(),
+            [0, 0, 9, 8, 7, 6, 5, 0]
+        );
+        assert_eq!(bulk.generation(Addr(0x100)), Some(5));
+        assert_eq!(bulk.generation(Addr(0x100)), single.generation(Addr(0x100)));
+        // Running off the region writes the mapped prefix, then fails.
+        assert!(matches!(
+            bulk.write_bytes(Addr(0x106), &bytes),
+            Err(SimError::UnmappedAddress { addr: Addr(0x108) })
+        ));
+        assert_eq!(bulk.read_bytes(Addr(0x106), 2).unwrap(), [9, 8]);
+        assert_eq!(bulk.generation(Addr(0x100)), Some(7));
     }
 
     #[test]

@@ -13,6 +13,11 @@ cargo clippy --all-targets --workspace -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
+echo "==> release binaries the gates below run: cargo build --release --workspace"
+# The root package alone does not build `experiments`, `analyze`,
+# `tier_bench` or `fuzz`; a fresh checkout needs them built here.
+cargo build --release --workspace
+
 echo "==> tier-1: cargo test -q"
 cargo test -q
 

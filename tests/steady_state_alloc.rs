@@ -4,9 +4,11 @@
 //! harness's own threads do not interfere) watches
 //! `EmulationDevice::advance` — SoC step, interrupt routing, MCDS
 //! observation and EMEM trace write — on the fleet's engine-stock cohort
-//! with an IPC rate probe programmed and block profiling off. After a
-//! warm-up that grows every reusable buffer to its per-cycle peak, a long
-//! stretch of simulated cycles must not touch the heap.
+//! with block profiling off, under two MCDS programs: the fleet's single
+//! IPC rate probe, and the trace benchmark's four metrics (six probes)
+//! plus program flow trace, whose stream wraps the EMEM trace ring. After
+//! a warm-up that grows every reusable buffer to its per-cycle peak, a
+//! long stretch of simulated cycles must not touch the heap.
 //!
 //! The one allocation the simulation itself needs is the TriCore's
 //! predecoded-block cache filling with a block it has never run: the
@@ -20,7 +22,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use audo_ed::{EdConfig, EmulationDevice};
+use audo_ed::{EdConfig, EmulationDevice, TraceMode};
 use audo_fleet::cohort::build_artifacts;
 use audo_profiler::metrics::Metric;
 use audo_profiler::spec::ProfileSpec;
@@ -77,24 +79,46 @@ struct Stretch {
     trace_bytes: u64,
 }
 
-/// Warms up, then advances `MEASURED_CYCLES` engine-stock cycles. With
-/// `observed`, the device runs an IPC rate probe on the full observation
-/// stream; without, it is a production part (observation off, no MCDS).
-fn measure(fast_path: bool, observed: bool) -> Stretch {
+/// The fleet's MCDS program: one IPC rate probe.
+fn ipc_spec() -> ProfileSpec {
+    ProfileSpec::new()
+        .metric(Metric::Ipc, 2_000)
+        .with_timestamp_shift(4)
+}
+
+/// The trace benchmark's MCDS program: four metrics on six probes plus
+/// ungated program flow trace.
+fn trace_spec() -> ProfileSpec {
+    ProfileSpec::new()
+        .metric(Metric::Ipc, 2_000)
+        .metric(Metric::IcacheHitRatio, 2_000)
+        .metric(Metric::DcacheHitRatio, 2_000)
+        .metric(Metric::InterruptsPerKilocycle, 2_000)
+        .with_program_trace()
+}
+
+/// A trace region the flow trace wraps several times in the measured
+/// stretch (about 28 KB of trace).
+const SMALL_RING: EdConfig = EdConfig {
+    trace_bytes: 4 * 1024,
+    trace_mode: TraceMode::Ring,
+};
+
+/// Warms up, then advances `MEASURED_CYCLES` engine-stock cycles on a
+/// device with trace region `ed_cfg`. With a `spec`, the device runs that
+/// MCDS program on the full observation stream; without, it is a
+/// production part (observation off, no MCDS).
+fn measure(fast_path: bool, spec: Option<&ProfileSpec>, ed_cfg: EdConfig) -> Stretch {
     let art = build_artifacts()
         .into_iter()
         .find(|a| a.spec.name == "engine-stock")
         .expect("the fleet has an engine-stock cohort");
-    let mut ed = EmulationDevice::new(art.config.clone(), EdConfig::default());
+    let mut ed = EmulationDevice::new(art.config.clone(), ed_cfg);
     art.workload.install_ed(&mut ed).expect("installs");
     ed.soc.tricore.set_fast_path(fast_path);
     ed.soc.tricore.set_profile_observation(false);
-    if observed {
-        let (mcds, _) = ProfileSpec::new()
-            .metric(Metric::Ipc, 2_000)
-            .with_timestamp_shift(4)
-            .compile()
-            .expect("one rate probe fits");
+    if let Some(spec) = spec {
+        let (mcds, _) = spec.compile().expect("the program fits the MCDS");
         ed.program_mcds(mcds);
     } else {
         ed.soc.set_observation(false);
@@ -117,7 +141,7 @@ fn measure(fast_path: bool, observed: bool) -> Stretch {
 
 #[test]
 fn advance_without_predecode_cache_never_allocates() {
-    let s = measure(false, true);
+    let s = measure(false, Some(&ipc_spec()), EdConfig::default());
     assert!(s.trace_bytes > 0, "the rate probe wrote trace");
     assert_eq!(
         s.allocs, 0,
@@ -126,9 +150,23 @@ fn advance_without_predecode_cache_never_allocates() {
 }
 
 #[test]
+fn traced_advance_without_predecode_cache_never_allocates() {
+    let s = measure(false, Some(&trace_spec()), SMALL_RING);
+    assert!(
+        s.trace_bytes > 2 * u64::from(SMALL_RING.trace_bytes),
+        "the flow trace wraps the EMEM ring ({} bytes)",
+        s.trace_bytes
+    );
+    assert_eq!(
+        s.allocs, 0,
+        "heap allocations in {MEASURED_CYCLES} traced steady-state cycles"
+    );
+}
+
+#[test]
 fn observation_adds_no_allocation_to_the_fleet_configuration() {
-    let observed = measure(true, true);
-    let production = measure(true, false);
+    let observed = measure(true, Some(&ipc_spec()), EdConfig::default());
+    let production = measure(true, None, EdConfig::default());
     assert!(observed.trace_bytes > 0, "the rate probe wrote trace");
     assert_eq!(production.trace_bytes, 0);
     assert_eq!(

@@ -124,16 +124,24 @@ impl Cfg {
         self.blocks.values().map(|b| b.instrs.len()).sum()
     }
 
-    /// Predecessor map (block start -> predecessors' starts).
+    /// Successor map over every edge kind (block start -> successors'
+    /// starts), keeping only edges into recovered blocks. The loop
+    /// analyses' intra-procedural view, with its call policy, is
+    /// [`crate::loopbound::flow_adjacency`].
     #[must_use]
-    pub fn preds(&self) -> BTreeMap<u32, Vec<u32>> {
-        let mut preds: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (start, b) in &self.blocks {
-            for e in &b.edges {
-                preds.entry(e.to).or_default().push(*start);
-            }
-        }
-        preds
+    pub(crate) fn adjacency(&self) -> BTreeMap<u32, Vec<u32>> {
+        self.blocks
+            .iter()
+            .map(|(&start, b)| {
+                let succs = b
+                    .edges
+                    .iter()
+                    .map(|e| e.to)
+                    .filter(|t| self.blocks.contains_key(t))
+                    .collect();
+                (start, succs)
+            })
+            .collect()
     }
 }
 
@@ -372,7 +380,8 @@ pub fn recover(image: &Image) -> Cfg {
     let mut resolved: BTreeMap<u32, u32> = BTreeMap::new();
     let mut biv: Option<u32> = None;
 
-    for _round in 0..8 {
+    let mut round = 0;
+    loop {
         let mut ex = Explorer::new(image);
         for (a, _) in &roots {
             ex.add_leader(*a);
@@ -381,15 +390,24 @@ pub fn recover(image: &Image) -> Cfg {
             ex.add_leader(t);
         }
         ex.trace_all();
-        let blocks = build_blocks(&ex.decoded, &ex.leaders, &ex.stops, &resolved);
         let cfg = Cfg {
-            blocks,
+            blocks: build_blocks(&ex.decoded, &ex.leaders, &ex.stops, &resolved),
             roots: roots.clone(),
             biv,
-            decode_stops: ex.stops.clone(),
+            decode_stops: ex.stops,
             resolved_indirect: resolved.clone(),
-            unresolved_indirect: vec![],
+            unresolved_indirect: ex
+                .indirect_sites
+                .iter()
+                .filter(|a| !resolved.contains_key(a))
+                .copied()
+                .collect(),
         };
+        // Bounded out: keep whatever the earlier rounds discovered.
+        if round == 8 {
+            return cfg;
+        }
+        round += 1;
         let sol = constprop::solve(&cfg);
 
         let mut changed = false;
@@ -434,60 +452,40 @@ pub fn recover(image: &Image) -> Cfg {
             }
         }
         if !changed {
-            let mut cfg = cfg;
-            cfg.unresolved_indirect = ex
-                .indirect_sites
-                .iter()
-                .filter(|a| !resolved.contains_key(a))
-                .copied()
-                .collect();
             return cfg;
         }
     }
-
-    // Bounded out: rebuild once more with whatever was discovered.
-    let mut ex = Explorer::new(image);
-    for (a, _) in &roots {
-        ex.add_leader(*a);
-    }
-    for &t in resolved.values() {
-        ex.add_leader(t);
-    }
-    ex.trace_all();
-    let blocks = build_blocks(&ex.decoded, &ex.leaders, &ex.stops, &resolved);
-    let unresolved = ex
-        .indirect_sites
-        .iter()
-        .filter(|a| !resolved.contains_key(a))
-        .copied()
-        .collect();
-    Cfg {
-        blocks,
-        roots,
-        biv,
-        decode_stops: ex.stops,
-        resolved_indirect: resolved,
-        unresolved_indirect: unresolved,
-    }
 }
 
-/// Strongly connected components of the block graph (iterative Tarjan).
-///
-/// Returns one set per SCC, in a deterministic order (by smallest member).
-/// Single blocks only count as an SCC when they have a self edge.
+/// Strongly connected components of the subgraph induced on `nodes`,
+/// minus the `removed` edges (iterative Tarjan, deterministic order by
+/// smallest member). Trivial single-node components without a self edge
+/// are dropped. Pass every block as `nodes` and no `removed` edges for
+/// the whole graph.
 #[must_use]
-pub fn sccs(cfg: &Cfg) -> Vec<BTreeSet<u32>> {
+pub(crate) fn cyclic_sccs(
+    adj: &BTreeMap<u32, Vec<u32>>,
+    nodes: &BTreeSet<u32>,
+    removed: &BTreeSet<(u32, u32)>,
+) -> Vec<BTreeSet<u32>> {
     #[derive(Default, Clone)]
     struct NodeState {
         index: Option<u32>,
         lowlink: u32,
         on_stack: bool,
     }
-    let mut state: BTreeMap<u32, NodeState> = cfg
-        .blocks
-        .keys()
-        .map(|&k| (k, NodeState::default()))
-        .collect();
+    let succs = |v: u32| -> Vec<u32> {
+        adj.get(&v)
+            .map(|s| {
+                s.iter()
+                    .filter(|&&t| nodes.contains(&t) && !removed.contains(&(v, t)))
+                    .copied()
+                    .collect()
+            })
+            .unwrap_or_default()
+    };
+    let mut state: BTreeMap<u32, NodeState> =
+        nodes.iter().map(|&k| (k, NodeState::default())).collect();
     let mut index = 0u32;
     let mut stack: Vec<u32> = Vec::new();
     let mut out: Vec<BTreeSet<u32>> = Vec::new();
@@ -497,8 +495,7 @@ pub fn sccs(cfg: &Cfg) -> Vec<BTreeSet<u32>> {
         Resume(u32, usize),
     }
 
-    let starts: Vec<u32> = cfg.blocks.keys().copied().collect();
-    for &root in &starts {
+    for &root in nodes {
         if state[&root].index.is_some() {
             continue;
         }
@@ -518,40 +515,39 @@ pub fn sccs(cfg: &Cfg) -> Vec<BTreeSet<u32>> {
                     work.push(Frame::Resume(v, 0));
                 }
                 Frame::Resume(v, mut i) => {
-                    let edges: Vec<u32> = cfg.blocks[&v]
-                        .edges
-                        .iter()
-                        .map(|e| e.to)
-                        .filter(|t| cfg.blocks.contains_key(t))
-                        .collect();
+                    let edges = succs(v);
                     let mut descended = false;
                     while i < edges.len() {
                         let w = edges[i];
                         i += 1;
-                        if state[&w].index.is_none() {
-                            work.push(Frame::Resume(v, i));
-                            work.push(Frame::Enter(w));
-                            descended = true;
-                            break;
-                        }
-                        if state[&w].on_stack {
-                            let wl = state[&w].index.expect("indexed");
-                            let sv = state.get_mut(&v).expect("known node");
-                            sv.lowlink = sv.lowlink.min(wl);
+                        match state[&w].index {
+                            None => {
+                                work.push(Frame::Resume(v, i));
+                                work.push(Frame::Enter(w));
+                                descended = true;
+                                break;
+                            }
+                            Some(wi) if state[&w].on_stack => {
+                                let low = state[&v].lowlink.min(wi);
+                                state.get_mut(&v).expect("known").lowlink = low;
+                            }
+                            Some(_) => {}
                         }
                     }
                     if descended {
                         continue;
                     }
-                    // All edges done: maybe pop an SCC, then update parent.
-                    let (vl, vi) = {
-                        let sv = &state[&v];
-                        (sv.lowlink, sv.index.expect("indexed"))
-                    };
-                    if vl == vi {
+                    // All children visited: fold their lowlinks in.
+                    for &w in &edges {
+                        if state[&w].on_stack {
+                            let low = state[&v].lowlink.min(state[&w].lowlink);
+                            state.get_mut(&v).expect("known").lowlink = low;
+                        }
+                    }
+                    if state[&v].lowlink == state[&v].index.expect("visited") {
                         let mut comp = BTreeSet::new();
                         while let Some(w) = stack.pop() {
-                            state.get_mut(&w).expect("known node").on_stack = false;
+                            state.get_mut(&w).expect("known").on_stack = false;
                             comp.insert(w);
                             if w == v {
                                 break;
@@ -559,16 +555,11 @@ pub fn sccs(cfg: &Cfg) -> Vec<BTreeSet<u32>> {
                         }
                         let trivial = comp.len() == 1 && {
                             let only = *comp.iter().next().expect("non-empty");
-                            !cfg.blocks[&only].edges.iter().any(|e| e.to == only)
+                            !succs(only).contains(&only)
                         };
                         if !trivial {
                             out.push(comp);
                         }
-                    }
-                    if let Some(Frame::Resume(p, _)) = work.last() {
-                        let p = *p;
-                        let sp_low = state[&p].lowlink;
-                        state.get_mut(&p).expect("known node").lowlink = sp_low.min(vl);
                     }
                 }
             }
@@ -578,22 +569,36 @@ pub fn sccs(cfg: &Cfg) -> Vec<BTreeSet<u32>> {
     out
 }
 
-/// Blocks reachable from `from` (inclusive) over all edges.
+/// Predecessor map of an adjacency map (block start -> predecessors'
+/// starts, in adjacency order).
 #[must_use]
-pub fn reachable(cfg: &Cfg, from: &[u32]) -> BTreeSet<u32> {
+pub(crate) fn predecessors(adj: &BTreeMap<u32, Vec<u32>>) -> BTreeMap<u32, Vec<u32>> {
+    let mut preds: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for (&from, succs) in adj {
+        for &to in succs {
+            preds.entry(to).or_default().push(from);
+        }
+    }
+    preds
+}
+
+/// Blocks reachable from `from` (inclusive) over `adj`; starts that are
+/// not keys of `adj` are ignored.
+#[must_use]
+pub(crate) fn reachable(adj: &BTreeMap<u32, Vec<u32>>, from: &[u32]) -> BTreeSet<u32> {
     let mut seen: BTreeSet<u32> = BTreeSet::new();
     let mut queue: VecDeque<u32> = from
         .iter()
-        .filter(|a| cfg.blocks.contains_key(a))
+        .filter(|a| adj.contains_key(a))
         .copied()
         .collect();
     while let Some(b) = queue.pop_front() {
         if !seen.insert(b) {
             continue;
         }
-        for e in &cfg.blocks[&b].edges {
-            if cfg.blocks.contains_key(&e.to) && !seen.contains(&e.to) {
-                queue.push_back(e.to);
+        for &s in adj.get(&b).map(Vec::as_slice).unwrap_or_default() {
+            if !seen.contains(&s) {
+                queue.push_back(s);
             }
         }
     }
@@ -648,7 +653,8 @@ loop:
             .find(|b| b.term == Terminator::Branch)
             .expect("loop block");
         assert!(loop_block.edges.iter().any(|e| e.to == loop_block.start));
-        let comps = sccs(&cfg);
+        let all: BTreeSet<u32> = cfg.blocks.keys().copied().collect();
+        let comps = cyclic_sccs(&cfg.adjacency(), &all, &BTreeSet::new());
         assert_eq!(comps.len(), 1);
         assert!(comps[0].contains(&loop_block.start));
     }

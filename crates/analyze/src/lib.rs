@@ -26,6 +26,8 @@ pub mod predict;
 pub mod symbols;
 pub mod wcet;
 
+use std::collections::BTreeSet;
+
 use audo_common::Addr;
 use audo_platform::config::{Region, SocConfig};
 use audo_tricore::Image;
@@ -41,6 +43,8 @@ pub struct Analysis {
     pub image_name: String,
     /// Recovered control-flow graph.
     pub cfg: cfg::Cfg,
+    /// Constant-propagation solution over [`Analysis::cfg`].
+    pub sol: constprop::Solution,
     /// Every static load/store site with classification.
     pub accesses: Vec<MemAccess>,
     /// Severity-ranked findings, sorted by [`Finding::sort_key`].
@@ -105,6 +109,7 @@ pub fn analyze(image: &Image, soc: &SocConfig, masters: &MasterRanges, name: &st
     Analysis {
         image_name: name.to_string(),
         cfg: graph,
+        sol,
         accesses,
         findings,
         prediction,
@@ -172,7 +177,9 @@ fn access_findings(accesses: &[MemAccess], out: &mut Vec<Finding>) {
 /// core for an interrupt, which is an idle loop, not a hang).
 fn loop_findings(graph: &cfg::Cfg, out: &mut Vec<Finding>) {
     use audo_tricore::isa::Instr;
-    for comp in cfg::sccs(graph) {
+    let adj = graph.adjacency();
+    let all = adj.keys().copied().collect();
+    for comp in cfg::cyclic_sccs(&adj, &all, &BTreeSet::new()) {
         let escapes = comp
             .iter()
             .any(|b| graph.blocks[b].edges.iter().any(|e| !comp.contains(&e.to)));

@@ -1,18 +1,20 @@
 //! Loop discovery and static trip-count bounds over the recovered CFG.
 //!
-//! Generalizes [`crate::predict::self_loop_trip`] from single-block self
-//! loops to arbitrary natural loops: strongly connected components of the
-//! intra-procedural flow graph, peeled recursively (remove each loop's
-//! back edge, re-run SCC on its body) so nested loops get their own
-//! bounds. Every loop gets an explicit [`TripBound`] — either an exact
-//! iteration count proven from the constprop lattice, or `Unbounded` with
-//! the reason the proof failed. There are no silent guesses: anything the
-//! counter analysis cannot pin becomes `Unbounded` and poisons the WCET.
+//! Loops are the strongly connected components of the intra-procedural
+//! flow graph, peeled recursively (remove each loop's back edge, re-run
+//! SCC on its body) so nested loops get their own bounds. Every loop gets
+//! an explicit [`TripBound`] — either an exact iteration count proven
+//! from the constprop lattice, or `Unbounded` with the reason the proof
+//! failed. There are no silent guesses: anything the counter analysis
+//! cannot pin becomes `Unbounded` and poisons the WCET.
+//!
+//! [`shape_of`] is the crate's one counter proof: the WCET bound runs it
+//! on every peeled SCC, and the rate predictor runs it on the singleton
+//! SCC of each self-looping block.
 //!
 //! A trip bound of `Exact(n)` means: each time control enters the loop
 //! through its header, the header executes at most `n` times before the
-//! loop exits. The two provable shapes mirror the hardware idioms the
-//! predictor already understood:
+//! loop exits. The two provable shapes are the counter idioms:
 //!
 //! * `LOOP aN, header` — the hardware loop counter, entered with a known
 //!   constant, decremented only by the `LOOP` itself.
@@ -29,12 +31,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use audo_tricore::isa::{Instr, RegRef};
 
-use crate::cfg::{Cfg, EdgeKind};
+use crate::cfg::{self, Cfg, EdgeKind};
 use crate::constprop::Solution;
 
 /// Ceiling on trip counts the analysis will certify; entry value zero on a
 /// decrement counter means "wraps through 2^32", which is never a bound
-/// worth reporting as finite. Mirrors `self_loop_trip`'s clamp.
+/// worth reporting as finite, and a huge entry value is more likely an
+/// address or a sign-extended constant than a count.
 pub const MAX_TRIP: u32 = 16_777_216;
 
 /// Static iteration bound of one loop.
@@ -102,116 +105,6 @@ pub fn flow_adjacency(cfg: &Cfg) -> BTreeMap<u32, Vec<u32>> {
             (start, succs)
         })
         .collect()
-}
-
-/// Strongly connected components of the subgraph induced on `nodes`,
-/// minus the `removed` edges (iterative Tarjan, deterministic order by
-/// smallest member). Trivial single-node components without a self edge
-/// are dropped.
-pub(crate) fn cyclic_sccs(
-    adj: &BTreeMap<u32, Vec<u32>>,
-    nodes: &BTreeSet<u32>,
-    removed: &BTreeSet<(u32, u32)>,
-) -> Vec<BTreeSet<u32>> {
-    #[derive(Default, Clone)]
-    struct NodeState {
-        index: Option<u32>,
-        lowlink: u32,
-        on_stack: bool,
-    }
-    let succs = |v: u32| -> Vec<u32> {
-        adj.get(&v)
-            .map(|s| {
-                s.iter()
-                    .filter(|&&t| nodes.contains(&t) && !removed.contains(&(v, t)))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let mut state: BTreeMap<u32, NodeState> =
-        nodes.iter().map(|&k| (k, NodeState::default())).collect();
-    let mut index = 0u32;
-    let mut stack: Vec<u32> = Vec::new();
-    let mut out: Vec<BTreeSet<u32>> = Vec::new();
-
-    enum Frame {
-        Enter(u32),
-        Resume(u32, usize),
-    }
-
-    for &root in nodes {
-        if state[&root].index.is_some() {
-            continue;
-        }
-        let mut work = vec![Frame::Enter(root)];
-        while let Some(frame) = work.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    let st = state.get_mut(&v).expect("known node");
-                    if st.index.is_some() {
-                        continue;
-                    }
-                    st.index = Some(index);
-                    st.lowlink = index;
-                    st.on_stack = true;
-                    index += 1;
-                    stack.push(v);
-                    work.push(Frame::Resume(v, 0));
-                }
-                Frame::Resume(v, mut i) => {
-                    let edges = succs(v);
-                    let mut descended = false;
-                    while i < edges.len() {
-                        let w = edges[i];
-                        i += 1;
-                        match state[&w].index {
-                            None => {
-                                work.push(Frame::Resume(v, i));
-                                work.push(Frame::Enter(w));
-                                descended = true;
-                                break;
-                            }
-                            Some(wi) if state[&w].on_stack => {
-                                let low = state[&v].lowlink.min(wi);
-                                state.get_mut(&v).expect("known").lowlink = low;
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                    if descended {
-                        continue;
-                    }
-                    // All children visited: fold their lowlinks in.
-                    for &w in &edges {
-                        if state[&w].on_stack {
-                            let low = state[&v].lowlink.min(state[&w].lowlink);
-                            state.get_mut(&v).expect("known").lowlink = low;
-                        }
-                    }
-                    if state[&v].lowlink == state[&v].index.expect("visited") {
-                        let mut comp = BTreeSet::new();
-                        while let Some(w) = stack.pop() {
-                            state.get_mut(&w).expect("known").on_stack = false;
-                            comp.insert(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        let trivial = comp.len() == 1 && {
-                            let only = *comp.iter().next().expect("non-empty");
-                            !succs(only).contains(&only)
-                        };
-                        if !trivial {
-                            out.push(comp);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out.sort_by_key(|c| *c.iter().next().expect("non-empty"));
-    out
 }
 
 /// Structural shape of one cyclic SCC: its header, latch, and trip bound.
@@ -469,24 +362,12 @@ fn on_body_cycle(
 #[must_use]
 pub fn loop_forest(cfg: &Cfg, sol: &Solution) -> Vec<LoopInfo> {
     let adj = flow_adjacency(cfg);
-    let preds = flow_preds(&adj);
+    let preds = cfg::predecessors(&adj);
     let all: BTreeSet<u32> = cfg.blocks.keys().copied().collect();
     let mut out = Vec::new();
     let mut removed: BTreeSet<(u32, u32)> = BTreeSet::new();
     peel(cfg, sol, &adj, &preds, &all, &mut removed, 0, &mut out);
     out
-}
-
-/// Flow predecessors derived from the same adjacency the SCCs use.
-#[must_use]
-pub fn flow_preds(adj: &BTreeMap<u32, Vec<u32>>) -> BTreeMap<u32, Vec<u32>> {
-    let mut preds: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for (&from, succs) in adj {
-        for &to in succs {
-            preds.entry(to).or_default().push(from);
-        }
-    }
-    preds
 }
 
 #[allow(clippy::too_many_arguments)] // reason: internal recursion, not an API
@@ -500,7 +381,7 @@ fn peel(
     depth: usize,
     out: &mut Vec<LoopInfo>,
 ) {
-    for scc in cyclic_sccs(adj, nodes, removed) {
+    for scc in cfg::cyclic_sccs(adj, nodes, removed) {
         let shape = shape_of(cfg, sol, preds, &scc);
         let Some(header) = shape.header else {
             out.push(LoopInfo {
@@ -723,7 +604,7 @@ head:
     }
 
     #[test]
-    fn hardware_loop_bound_matches_self_loop_trip() {
+    fn hardware_loop_counter_bound_is_exact() {
         let loops = forest(
             "
     .org 0x80000000

@@ -12,9 +12,10 @@
 //!   unbounded cycle (the background loop). One-shot init code, such as a
 //!   table-copy loop with a statically known trip count that no steady
 //!   block can reach again, is excluded.
-//! * Self-looping blocks with an inferable trip count (hardware `LOOP`
-//!   counters, `addi -1; jnz` counters) are weighted by that count, which
-//!   is what makes the mix "trip-weighted".
+//! * Self-looping blocks with a provable trip count (hardware `LOOP`
+//!   counters, `addi -1; jnz` counters, proven by
+//!   [`crate::loopbound::shape_of`] on the singleton loop) are weighted by
+//!   that count, which is what makes the mix "trip-weighted".
 //! * The **IPC upper bound** comes from the tri-issue bundle model: at
 //!   most one instruction per pipe (Ip/Ls/Lp) per cycle, no intra-bundle
 //!   RAW dependencies, serializing instructions issue alone.
@@ -25,16 +26,16 @@
 //!   TC1767 has none, and the TC1797's can be defeated by large working
 //!   sets).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use audo_platform::config::{Region, SocConfig};
 use audo_tricore::isa::Instr;
 use audo_tricore::pipeline::CostModel;
 
 use crate::access::{self};
-use crate::cfg::{self, Block, Cfg};
+use crate::cfg::{self, Cfg};
 use crate::constprop::{RegState, Solution};
-use crate::wcet;
+use crate::{loopbound, wcet};
 
 /// Static rate prediction for one steady-state block.
 #[derive(Debug, Clone)]
@@ -132,37 +133,19 @@ fn outside_entry(
     st.unwrap_or_else(|| sol.entry_of(block))
 }
 
-/// Infers the trip count of a self-looping block: the hardware `LOOP`
-/// counter, or an `addi rN, rN, -1; ...; jnz rN` counter, evaluated in
-/// the first-iteration entry state.
-#[must_use]
-pub fn self_loop_trip(block: &Block, outside: &RegState) -> Option<u64> {
-    if !block.edges.iter().any(|e| e.to == block.start) {
-        return None;
-    }
-    let last = block.instrs.last()?;
-    let trip = match last.instr {
-        Instr::Loop { aa, .. } => outside.a[aa.0 as usize],
-        Instr::Jnz { ra, .. } => {
-            let decremented = block.instrs.iter().any(|s| {
-                matches!(s.instr, Instr::AddI { rd, ra: src, imm: -1 }
-                    if rd == ra && src == ra)
-            });
-            if decremented {
-                outside.d[ra.0 as usize]
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }?;
-    // Zero means "loops 2^32 times" on real decrement counters; huge
-    // values are almost certainly not a static constant worth trusting.
-    if (1..=16_777_216).contains(&trip) {
-        Some(u64::from(trip))
-    } else {
-        None
-    }
+/// Trip weight of a self-looping block: the loop counter proof
+/// [`loopbound::shape_of`] run on the singleton SCC `{block}`, over the
+/// all-edge predecessor map. `None` when `block` has no self edge or no
+/// trip is provable.
+fn self_loop_weight(
+    cfg: &Cfg,
+    sol: &Solution,
+    preds: &BTreeMap<u32, Vec<u32>>,
+    block: u32,
+) -> Option<u64> {
+    loopbound::shape_of(cfg, sol, preds, &BTreeSet::from([block]))
+        .trip
+        .exact()
 }
 
 /// Greedy tri-issue bundle count: at most three instructions per bundle,
@@ -222,8 +205,9 @@ fn data_penalty(soc: &SocConfig, region: Option<Region>) -> u64 {
 /// Returns `(block start -> weight)`; see the module docs for the rules.
 #[must_use]
 pub fn steady_set(cfg: &Cfg, sol: &Solution) -> BTreeMap<u32, u64> {
-    let preds = cfg.preds();
-    let sccs = cfg::sccs(cfg);
+    let adj = cfg.adjacency();
+    let preds = cfg::predecessors(&adj);
+    let all: BTreeSet<u32> = adj.keys().copied().collect();
 
     // Roots of the steady region: interrupt vectors, plus every block in
     // a cycle whose iteration count is NOT statically bounded.
@@ -233,14 +217,13 @@ pub fn steady_set(cfg: &Cfg, sol: &Solution) -> BTreeMap<u32, u64> {
         .filter(|(_, name)| name.starts_with("vector"))
         .map(|(a, _)| *a)
         .collect();
-    for comp in &sccs {
+    for comp in cfg::cyclic_sccs(&adj, &all, &BTreeSet::new()) {
         let bounded = comp.len() == 1 && {
             let only = *comp.iter().next().expect("non-empty");
-            let outside = outside_entry(cfg, sol, &preds, only);
-            self_loop_trip(&cfg.blocks[&only], &outside).is_some()
+            self_loop_weight(cfg, sol, &preds, only).is_some()
         };
         if !bounded {
-            seeds.extend(comp.iter().copied());
+            seeds.extend(comp);
         }
     }
     // A program with no interrupts and no unbounded loop (straight-line
@@ -249,21 +232,16 @@ pub fn steady_set(cfg: &Cfg, sol: &Solution) -> BTreeMap<u32, u64> {
         seeds = cfg.roots.iter().map(|(a, _)| *a).collect();
     }
 
-    let steady = cfg::reachable(cfg, &seeds);
-    steady
+    cfg::reachable(&adj, &seeds)
         .into_iter()
-        .map(|b| {
-            let outside = outside_entry(cfg, sol, &preds, b);
-            let w = self_loop_trip(&cfg.blocks[&b], &outside).unwrap_or(1);
-            (b, w)
-        })
+        .map(|b| (b, self_loop_weight(cfg, sol, &preds, b).unwrap_or(1)))
         .collect()
 }
 
 /// Builds the whole-image prediction.
 #[must_use]
 pub fn predict(cfg: &Cfg, sol: &Solution, soc: &SocConfig) -> Prediction {
-    let preds = cfg.preds();
+    let preds = cfg::predecessors(&cfg.adjacency());
     let weights = steady_set(cfg, sol);
     // One timing table: the same exported cost model the WCET analyzer
     // and the cycle-level pipeline share.
@@ -700,19 +678,8 @@ bg:
         assert_eq!(ok.len(), 1);
     }
 
-    /// First-iteration entry state of a block, as `steady_set` sees it.
-    fn outside_of(src: &str, start_hint: u32) -> (Cfg, RegState) {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
-        let sol = constprop::solve(&g);
-        let preds = g.preds();
-        let st = outside_entry(&g, &sol, &preds, start_hint);
-        (g, st)
-    }
-
-    /// Finds the unique self-looping block of `src` and returns its
-    /// inferred trip count.
-    fn trip_of(src: &str) -> Option<u64> {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
+    /// The unique self-looping block of `g`.
+    fn self_loop_of(g: &Cfg) -> u32 {
         let looping: Vec<u32> = g
             .blocks
             .values()
@@ -720,8 +687,71 @@ bg:
             .map(|b| b.start)
             .collect();
         assert_eq!(looping.len(), 1, "expected one self-loop: {looping:x?}");
-        let (g2, outside) = outside_of(src, looping[0]);
-        self_loop_trip(&g2.blocks[&looping[0]], &outside)
+        looping[0]
+    }
+
+    /// Finds the unique self-looping block of `src` and returns its
+    /// inferred trip count.
+    fn trip_of(src: &str) -> Option<u64> {
+        let g = cfg::recover(&assemble(src).expect("test source assembles"));
+        let sol = constprop::solve(&g);
+        let preds = cfg::predecessors(&g.adjacency());
+        self_loop_weight(&g, &sol, &preds, self_loop_of(&g))
+    }
+
+    /// The steady-state weights of `src` and its self-looping block.
+    fn steady_of(src: &str) -> (BTreeMap<u32, u64>, u32) {
+        let g = cfg::recover(&assemble(src).expect("test source assembles"));
+        let sol = constprop::solve(&g);
+        (steady_set(&g, &sol), self_loop_of(&g))
+    }
+
+    #[test]
+    fn clobbered_counter_self_loop_is_steady_with_unit_weight() {
+        // The body reloads its counter every pass, so the loop never ends:
+        // no trip weight, and as an unbounded cycle it seeds the steady
+        // set even though no vector reaches it.
+        let (weights, spin) = steady_of(
+            "
+    .org 0x80000000
+_start:
+    li d0, 0x80008000
+    mtcr biv, d0
+    li d2, 4
+spin:
+    li d2, 4
+    addi d2, d2, -1
+    jnz d2, spin
+    halt
+    .org 0x80008000 + 32*4
+    j isr
+isr:
+    rfe
+",
+        );
+        assert_eq!(weights.get(&spin), Some(&1), "{weights:x?}");
+    }
+
+    #[test]
+    fn two_entry_constants_weight_by_the_larger() {
+        // Entered with 3 along the taken `jz` and with 9 along the
+        // fall-through: the loop runs at most 9 times per entry.
+        let (weights, head) = steady_of(
+            "
+    .org 0x80000000
+_start:
+    la a2, 0xd0000400
+    ld.w d0, [a2]
+    li d2, 3
+    jz d0, head
+    li d2, 9
+head:
+    addi d2, d2, -1
+    jnz d2, head
+    halt
+",
+        );
+        assert_eq!(weights.get(&head), Some(&9), "{weights:x?}");
     }
 
     #[test]

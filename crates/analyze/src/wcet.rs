@@ -36,7 +36,7 @@ use audo_tricore::bus::CoreBus;
 use audo_tricore::isa::Instr;
 use audo_tricore::pipeline::{CostModel, MemCosts};
 
-use crate::cfg::{Cfg, EdgeKind, Terminator};
+use crate::cfg::{self, Cfg, EdgeKind, Terminator};
 use crate::constprop::Solution;
 use crate::findings::{Finding, Severity};
 use crate::loopbound::{self, LoopInfo, TripBound};
@@ -169,26 +169,6 @@ pub fn soc_mem_costs(cfg: &SocConfig) -> MemCosts {
     }
 }
 
-/// Blocks reachable from `entry` over the intra-procedural flow graph.
-fn reach(adj: &BTreeMap<u32, Vec<u32>>, entry: u32) -> BTreeSet<u32> {
-    let mut seen = BTreeSet::new();
-    if !adj.contains_key(&entry) {
-        return seen;
-    }
-    let mut queue = VecDeque::from([entry]);
-    while let Some(b) = queue.pop_front() {
-        if !seen.insert(b) {
-            continue;
-        }
-        for &s in adj.get(&b).map(Vec::as_slice).unwrap_or_default() {
-            if !seen.contains(&s) {
-                queue.push_back(s);
-            }
-        }
-    }
-    seen
-}
-
 /// The call target of `block`, when resolved to a recovered block.
 fn call_target(cfg: &Cfg, block: u32) -> Option<u32> {
     cfg.blocks[&block]
@@ -207,6 +187,14 @@ fn is_light_call(cfg: &Cfg, block: u32) -> bool {
     )
 }
 
+/// Interrupt-vector roots that start a recovered block.
+fn vector_roots(cfg: &Cfg) -> impl Iterator<Item = u32> + '_ {
+    cfg.roots
+        .iter()
+        .filter(|(a, name)| name.starts_with("vector") && cfg.blocks.contains_key(a))
+        .map(|(a, _)| *a)
+}
+
 struct Analyzer<'a> {
     cfg: &'a Cfg,
     sol: &'a Solution,
@@ -217,11 +205,46 @@ struct Analyzer<'a> {
     csa_memo: BTreeMap<u32, Bound>,
     wcet_visiting: BTreeSet<u32>,
     csa_visiting: BTreeSet<u32>,
+    /// Blocks each priced function reaches (its `func_wcet` walk).
+    func_blocks: BTreeMap<u32, usize>,
     /// Entries found on a cycle of the call graph.
     recursive: BTreeSet<u32>,
 }
 
-impl Analyzer<'_> {
+impl<'a> Analyzer<'a> {
+    /// An analyzer over the intra-procedural flow graph of `cfg`, pricing
+    /// blocks from `block_cost` (left empty when only CSA depth is asked).
+    fn new(cfg: &'a Cfg, sol: &'a Solution, block_cost: BTreeMap<u32, u64>) -> Self {
+        let adj = loopbound::flow_adjacency(cfg);
+        let preds = cfg::predecessors(&adj);
+        Analyzer {
+            cfg,
+            sol,
+            adj,
+            preds,
+            block_cost,
+            wcet_memo: BTreeMap::new(),
+            csa_memo: BTreeMap::new(),
+            wcet_visiting: BTreeSet::new(),
+            csa_visiting: BTreeSet::new(),
+            func_blocks: BTreeMap::new(),
+            recursive: BTreeSet::new(),
+        }
+    }
+
+    /// Worst-case whole-program CSA depth: the entry root's deepest call
+    /// chain plus one nested activation per interrupt vector (priority
+    /// ceilings admit one live activation per level).
+    fn program_csa(&mut self) -> Bound {
+        let cfg = self.cfg;
+        let entry = cfg.roots.first().map(|(a, _)| *a);
+        let mut depth = entry.map_or(Bound::Unbounded("no-entry"), |e| self.func_csa(e));
+        for v in vector_roots(cfg) {
+            depth = depth.add(Bound::Finite(1)).add(self.func_csa(v));
+        }
+        depth
+    }
+
     /// Worst-case cycles one execution of `b` contributes to a path: its
     /// body cost plus, for full calls, the callee's whole WCET.
     fn block_weight(&mut self, b: u32) -> Bound {
@@ -260,7 +283,8 @@ impl Analyzer<'_> {
             self.recursive.insert(entry);
             return Bound::Unbounded("recursion");
         }
-        let nodes = reach(&self.adj, entry);
+        let nodes = cfg::reachable(&self.adj, &[entry]);
+        self.func_blocks.insert(entry, nodes.len());
         let w = if nodes.is_empty() {
             Bound::Unbounded("no-blocks")
         } else {
@@ -288,7 +312,7 @@ impl Analyzer<'_> {
         weights: &BTreeMap<u32, Bound>,
         entry: u32,
     ) -> Bound {
-        let sccs = loopbound::cyclic_sccs(&self.adj, nodes, removed);
+        let sccs = cfg::cyclic_sccs(&self.adj, nodes, removed);
 
         // Component ids: cyclic SCCs first, then singleton nodes.
         let mut comp_of: BTreeMap<u32, usize> = BTreeMap::new();
@@ -370,7 +394,7 @@ impl Analyzer<'_> {
             return Bound::Unbounded("recursion");
         }
         let cfg = self.cfg;
-        let nodes = reach(&self.adj, entry);
+        let nodes = cfg::reachable(&self.adj, &[entry]);
         // An entry the CFG never decoded has no claimable depth — mirror
         // `func_wcet`, never report a confident 0.
         let mut depth = if nodes.is_empty() {
@@ -420,28 +444,7 @@ impl Analyzer<'_> {
 /// used by the rate predictor's fleet envelope.
 #[must_use]
 pub fn program_csa_bound(cfg: &Cfg, sol: &Solution) -> Bound {
-    let adj = loopbound::flow_adjacency(cfg);
-    let preds = loopbound::flow_preds(&adj);
-    let mut az = Analyzer {
-        cfg,
-        sol,
-        adj,
-        preds,
-        block_cost: BTreeMap::new(),
-        wcet_memo: BTreeMap::new(),
-        csa_memo: BTreeMap::new(),
-        wcet_visiting: BTreeSet::new(),
-        csa_visiting: BTreeSet::new(),
-        recursive: BTreeSet::new(),
-    };
-    let entry_root = cfg.roots.first().map(|(a, _)| *a);
-    let mut depth = entry_root.map_or(Bound::Unbounded("no-entry"), |e| az.func_csa(e));
-    for (a, name) in &cfg.roots {
-        if name.starts_with("vector") && cfg.blocks.contains_key(a) {
-            depth = depth.add(Bound::Finite(1)).add(az.func_csa(*a));
-        }
-    }
-    depth
+    Analyzer::new(cfg, sol, BTreeMap::new()).program_csa()
 }
 
 /// Runs the whole-image WCET and CSA-depth analysis.
@@ -458,8 +461,6 @@ pub fn analyze_wcet(
     csa_budget: u32,
     image: &str,
 ) -> WcetReport {
-    let adj = loopbound::flow_adjacency(cfg);
-    let preds = loopbound::flow_preds(&adj);
     let block_cost: BTreeMap<u32, u64> = cfg
         .blocks
         .iter()
@@ -468,18 +469,7 @@ pub fn analyze_wcet(
     let max_block_cost = block_cost.values().copied().max().unwrap_or(0);
     let loops = loopbound::loop_forest(cfg, sol);
 
-    let mut az = Analyzer {
-        cfg,
-        sol,
-        adj,
-        preds,
-        block_cost,
-        wcet_memo: BTreeMap::new(),
-        csa_memo: BTreeMap::new(),
-        wcet_visiting: BTreeSet::new(),
-        csa_visiting: BTreeSet::new(),
-        recursive: BTreeSet::new(),
-    };
+    let mut az = Analyzer::new(cfg, sol, block_cost);
 
     // Function entries: every root, plus every resolved full-call target
     // (`jl` targets are inlined into their callers, not functions).
@@ -499,12 +489,15 @@ pub fn analyze_wcet(
 
     let funcs: Vec<FuncBound> = entries
         .iter()
-        .map(|(&entry, label)| FuncBound {
-            entry,
-            label: label.clone(),
-            wcet: az.func_wcet(entry),
-            csa_frames: az.func_csa(entry),
-            blocks: reach(&az.adj, entry).len(),
+        .map(|(&entry, label)| {
+            let wcet = az.func_wcet(entry);
+            FuncBound {
+                entry,
+                label: label.clone(),
+                wcet,
+                csa_frames: az.func_csa(entry),
+                blocks: az.func_blocks[&entry],
+            }
         })
         .collect();
 
@@ -512,22 +505,13 @@ pub fn analyze_wcet(
     // unbounded (preemption has no static activation count), but each
     // vector still nests at most once on the CSA (priority ceilings).
     let entry_root = cfg.roots.first().map(|(a, _)| *a);
-    let vectors: Vec<u32> = cfg
-        .roots
-        .iter()
-        .filter(|(a, name)| name.starts_with("vector") && cfg.blocks.contains_key(a))
-        .map(|(a, _)| *a)
-        .collect();
     let entry_wcet = entry_root.map_or(Bound::Unbounded("no-entry"), |e| az.func_wcet(e));
-    let program_wcet = if vectors.is_empty() {
+    let program_wcet = if vector_roots(cfg).next().is_none() {
         entry_wcet
     } else {
         Bound::Unbounded("interrupt-driven")
     };
-    let mut program_csa = entry_root.map_or(Bound::Unbounded("no-entry"), |e| az.func_csa(e));
-    for &v in &vectors {
-        program_csa = program_csa.add(Bound::Finite(1)).add(az.func_csa(v));
-    }
+    let program_csa = az.program_csa();
 
     let mut findings = Vec::new();
     if let Bound::Unbounded(reason) = program_wcet {

@@ -45,7 +45,7 @@
 //! operation was invalid.
 
 use audo_analyze::findings::{Finding, Severity};
-use audo_analyze::{analyze, constprop, predict, wcet, MasterRanges};
+use audo_analyze::{analyze, predict, wcet, MasterRanges};
 use audo_bench::cli::{self, build_config, build_workload};
 use audo_bench::harness::{measure, time, BenchDoc};
 use audo_platform::config::SocConfig;
@@ -144,9 +144,8 @@ fn run_bench(cfg: &SocConfig, path: &str) -> Result<(), String> {
             let mut blocks = 0u64;
             for (image, masters, name) in &prepared {
                 let a = audo_analyze::analyze(image, cfg, masters, name);
-                let sol = constprop::solve(&a.cfg);
                 let model = CostModel::new(cfg.cpu.clone(), wcet::soc_mem_costs(cfg));
-                let report = wcet::analyze_wcet(&a.cfg, &sol, &model, CSA_AREAS, name);
+                let report = wcet::analyze_wcet(&a.cfg, &a.sol, &model, CSA_AREAS, name);
                 blocks += a.cfg.blocks.len() as u64;
                 std::hint::black_box(&report);
             }
@@ -223,10 +222,9 @@ fn run() -> Result<i32, String> {
     // pipeline: the exported cost model, fed the SoC's memory latencies.
     let mut wcet_failed = false;
     let wcet_report = if args.wcet || args.check_profile {
-        let sol = constprop::solve(&a.cfg);
         let model = CostModel::new(cfg.cpu.clone(), wcet::soc_mem_costs(&cfg));
         let budget = args.csa_frames.unwrap_or(CSA_AREAS);
-        let report = wcet::analyze_wcet(&a.cfg, &sol, &model, budget, &name);
+        let report = wcet::analyze_wcet(&a.cfg, &a.sol, &model, budget, &name);
         if args.wcet {
             print!("{}", wcet::render_report(&report));
         }

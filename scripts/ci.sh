@@ -171,8 +171,8 @@ echo "==> wcet gate: corpus soundness sweep, crafted CSA overflow vetoed, fuzz c
 # 50-deep call chain must trip the CSA-OVERFLOW veto against the
 # platform's 48-frame free list, and a fuzz session holding every
 # agreeing program to its static bound must come back clean at any
-# worker count.
-cargo test -q --test wcet_soundness
+# worker count. `tests/wcet_soundness.rs` itself runs in the tier-1
+# `cargo test -q` step and again in the `--workspace` step above.
 wc_status=0
 ./target/release/analyze --asm workloads/csa_overflow.s --wcet \
     >/tmp/wcet_overflow.txt || wc_status=$?
@@ -247,7 +247,8 @@ echo "==> profile gate: golden pinned, attribution exact, self-compare zero, --j
 # cycle-attribution identity on a full workload, a self-compare must
 # show all-zero deltas (parser/renderer round trip), and the worker
 # count must not leak one byte into a multi-workload report.
-cargo test -q --test profile_determinism
+# `tests/profile_determinism.rs` runs in the tier-1 `cargo test -q` step
+# and again in the `--workspace` step above.
 pf_dir="$(mktemp -d)"
 ./target/release/profile --workload engine --tier pipeline \
     --json "$pf_dir/engine.json" >"$pf_dir/report.txt"

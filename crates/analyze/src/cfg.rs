@@ -380,21 +380,19 @@ pub fn recover(image: &Image) -> Cfg {
     let mut resolved: BTreeMap<u32, u32> = BTreeMap::new();
     let mut biv: Option<u32> = None;
 
+    // One explorer for every round: roots and resolved targets only grow,
+    // so adding just the new ones as leaders reaches the same decoded set,
+    // leaders and stops as re-tracing the image from all of them.
+    let mut ex = Explorer::new(image);
+    ex.add_leader(image.entry().0);
     let mut round = 0;
     loop {
-        let mut ex = Explorer::new(image);
-        for (a, _) in &roots {
-            ex.add_leader(*a);
-        }
-        for &t in resolved.values() {
-            ex.add_leader(t);
-        }
         ex.trace_all();
         let cfg = Cfg {
             blocks: build_blocks(&ex.decoded, &ex.leaders, &ex.stops, &resolved),
             roots: roots.clone(),
             biv,
-            decode_stops: ex.stops,
+            decode_stops: ex.stops.clone(),
             resolved_indirect: resolved.clone(),
             unresolved_indirect: ex
                 .indirect_sites
@@ -424,6 +422,7 @@ pub fn recover(image: &Image) -> Cfg {
                                 && image.byte_at(Addr(t)).is_some()
                             {
                                 resolved.insert(site.addr, t);
+                                ex.add_leader(t);
                                 changed = true;
                             }
                         }
@@ -447,6 +446,7 @@ pub fn recover(image: &Image) -> Cfg {
                 if image.bytes_at(Addr(slot), 2).is_some() && !roots.iter().any(|(a, _)| *a == slot)
                 {
                     roots.push((slot, format!("vector_p{prio}")));
+                    ex.add_leader(slot);
                     changed = true;
                 }
             }

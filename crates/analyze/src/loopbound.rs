@@ -359,14 +359,20 @@ fn on_body_cycle(
 ///
 /// Peeling stops below irreducible or latch-less regions — their bodies
 /// are already unbounded, so inner structure cannot tighten anything.
+///
+/// `adj` is [`flow_adjacency`]`(cfg)` and `preds` its predecessor map,
+/// which the caller builds once and shares.
 #[must_use]
-pub fn loop_forest(cfg: &Cfg, sol: &Solution) -> Vec<LoopInfo> {
-    let adj = flow_adjacency(cfg);
-    let preds = cfg::predecessors(&adj);
+pub fn loop_forest(
+    cfg: &Cfg,
+    sol: &Solution,
+    adj: &BTreeMap<u32, Vec<u32>>,
+    preds: &BTreeMap<u32, Vec<u32>>,
+) -> Vec<LoopInfo> {
     let all: BTreeSet<u32> = cfg.blocks.keys().copied().collect();
     let mut out = Vec::new();
     let mut removed: BTreeSet<(u32, u32)> = BTreeSet::new();
-    peel(cfg, sol, &adj, &preds, &all, &mut removed, 0, &mut out);
+    peel(cfg, sol, adj, preds, &all, &mut removed, 0, &mut out);
     out
 }
 
@@ -417,7 +423,8 @@ mod tests {
     fn forest(src: &str) -> Vec<LoopInfo> {
         let g = cfg::recover(&assemble(src).expect("test source assembles"));
         let sol = constprop::solve(&g);
-        loop_forest(&g, &sol)
+        let adj = flow_adjacency(&g);
+        loop_forest(&g, &sol, &adj, &cfg::predecessors(&adj))
     }
 
     #[test]

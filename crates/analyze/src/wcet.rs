@@ -467,9 +467,8 @@ pub fn analyze_wcet(
         .map(|(&start, b)| (start, model.block_cost(b.instrs.iter().map(|s| &s.instr))))
         .collect();
     let max_block_cost = block_cost.values().copied().max().unwrap_or(0);
-    let loops = loopbound::loop_forest(cfg, sol);
-
     let mut az = Analyzer::new(cfg, sol, block_cost);
+    let loops = loopbound::loop_forest(cfg, sol, &az.adj, &az.preds);
 
     // Function entries: every root, plus every resolved full-call target
     // (`jl` targets are inlined into their callers, not functions).

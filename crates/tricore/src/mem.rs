@@ -8,6 +8,11 @@
 //! store, or a calibration-overlay swap loaded over flash — lazily
 //! invalidates the stale predecoded blocks without a write barrier in the
 //! store path.
+//!
+//! A region stores only its written prefix, not a zeroed copy of its whole
+//! mapped length: the SoC maps megabytes of flash, SRAM and EMEM per
+//! session, of which a workload writes a small part. Bytes past the
+//! prefix read as zero; see [`FlatMem::add_region`].
 
 use std::cell::Cell;
 
@@ -15,11 +20,52 @@ use audo_common::{Addr, SimError};
 
 use crate::arch::ArchMem;
 
-/// One mapped region: backing bytes plus a write-generation counter.
-#[derive(Debug, Clone, Default)]
+/// One mapped region: its mapped length, the bytes written so far and a
+/// write-generation counter.
+///
+/// Only the *written prefix* is stored: `bytes` runs from the region base
+/// up to the highest byte ever written, rounded up to a multiple of
+/// [`GROW`] bytes, and every mapped byte past it reads as zero. The
+/// buffer's capacity is reserved for the whole mapped length when the
+/// region is added, so growing the prefix never reallocates, and the
+/// reserved pages past the prefix are never touched and never become
+/// resident.
+#[derive(Debug)]
 struct Region {
+    /// Mapped length in bytes.
+    len: usize,
+    /// Written prefix; capacity is always at least `len`.
     bytes: Vec<u8>,
     generation: u64,
+}
+
+/// Step in which a region's written prefix grows: one 4 KiB host page.
+/// Sequential stores, such as an EMEM trace ring's first lap or a CSA
+/// free list being linked, then leave the one-slice-check fast path once
+/// per page instead of once per store, while the zero-fill touches at
+/// most one page past the highest byte written.
+const GROW: usize = 4096;
+
+impl Region {
+    fn new(len: usize) -> Region {
+        Region {
+            len,
+            bytes: Vec::with_capacity(len),
+            generation: 0,
+        }
+    }
+}
+
+impl Clone for Region {
+    /// Keeps the whole-region reservation: a derived `Vec` clone would
+    /// allocate only the prefix, and the clone's first write past it
+    /// would reallocate.
+    fn clone(&self) -> Region {
+        let mut region = Region::new(self.len);
+        region.bytes.extend_from_slice(&self.bytes);
+        region.generation = self.generation;
+        region
+    }
 }
 
 /// Flat, region-based functional memory with no timing.
@@ -62,12 +108,19 @@ impl FlatMem {
 
     /// Maps a zero-initialised region of `len` bytes at `base`.
     ///
+    /// The region stores only its written prefix: the buffer's capacity is
+    /// reserved for all `len` bytes here, once, but nothing is zeroed or
+    /// touched until the guest writes, and unwritten bytes read as zero.
+    /// No later access allocates; a write past the prefix zero-fills the
+    /// gap inside the reservation, up to the end of the 4 KiB step it ends
+    /// in.
+    ///
     /// # Panics
     ///
     /// Panics if the region overlaps an existing one.
     pub fn add_region(&mut self, base: Addr, len: u32) {
         for (b, region) in &self.regions {
-            let existing_end = u64::from(*b) + region.bytes.len() as u64;
+            let existing_end = u64::from(*b) + region.len as u64;
             let new_end = u64::from(base.0) + u64::from(len);
             assert!(
                 new_end <= u64::from(*b) || u64::from(base.0) >= existing_end,
@@ -76,16 +129,7 @@ impl FlatMem {
             );
         }
         let at = self.regions.partition_point(|&(b, _)| b < base.0);
-        self.regions.insert(
-            at,
-            (
-                base.0,
-                Region {
-                    bytes: vec![0; len as usize],
-                    generation: 0,
-                },
-            ),
-        );
+        self.regions.insert(at, (base.0, Region::new(len as usize)));
         self.last.set(0);
     }
 
@@ -107,7 +151,7 @@ impl FlatMem {
         let li = self.last.get();
         if let Some((base, region)) = self.regions.get(li) {
             let off = addr.0.wrapping_sub(*base) as usize;
-            if off < region.bytes.len() {
+            if off < region.len {
                 return Some((li, off));
             }
         }
@@ -118,7 +162,7 @@ impl FlatMem {
         };
         let (base, region) = &self.regions[idx];
         let off = (addr.0 - base) as usize;
-        if off < region.bytes.len() {
+        if off < region.len {
             self.last.set(idx);
             Some((idx, off))
         } else {
@@ -132,7 +176,7 @@ impl FlatMem {
     pub fn region_span(&self, addr: Addr) -> Option<(Addr, u32)> {
         let (idx, _) = self.locate(addr)?;
         let (base, region) = &self.regions[idx];
-        Some((Addr(*base), region.bytes.len() as u32))
+        Some((Addr(*base), region.len as u32))
     }
 
     /// Returns the write-generation counter of the region containing
@@ -158,7 +202,7 @@ impl FlatMem {
         let (idx, off) = self
             .locate(addr)
             .ok_or(SimError::UnmappedAddress { addr })?;
-        Ok(self.regions[idx].1.bytes[off])
+        Ok(self.regions[idx].1.bytes.get(off).copied().unwrap_or(0))
     }
 
     /// Writes one byte, bumping the owning region's generation counter.
@@ -171,9 +215,14 @@ impl FlatMem {
             .locate(addr)
             .ok_or(SimError::UnmappedAddress { addr })?;
         let region = &mut self.regions[idx].1;
-        region.bytes[off] = value;
-        region.generation += 1;
-        Ok(())
+        match region.bytes.get_mut(off) {
+            Some(b) => {
+                *b = value;
+                region.generation += 1;
+                Ok(())
+            }
+            None => self.write_miss(addr, &[value]),
+        }
     }
 
     /// Writes `bytes` starting at `addr`, bumping the owning region's
@@ -194,6 +243,30 @@ impl FlatMem {
                 return Ok(());
             }
         }
+        self.write_miss(addr, bytes)
+    }
+
+    /// The write path for a range outside the written prefix of one
+    /// region: grows the prefix to cover a range inside the region (the
+    /// gap zero-filled inside the reserved capacity, up to the next
+    /// [`GROW`] step), else writes byte by byte across the region end.
+    #[cold]
+    #[inline(never)]
+    fn write_miss(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), SimError> {
+        if let Some((idx, off)) = self.locate(addr) {
+            let region = &mut self.regions[idx].1;
+            let end = off + bytes.len();
+            if end <= region.len {
+                if end > region.bytes.len() {
+                    region
+                        .bytes
+                        .resize(end.next_multiple_of(GROW).min(region.len), 0);
+                }
+                region.bytes[off..end].copy_from_slice(bytes);
+                region.generation += bytes.len() as u64;
+                return Ok(());
+            }
+        }
         for (i, &b) in bytes.iter().enumerate() {
             self.write_byte(addr.offset(i as u32), b)?;
         }
@@ -206,15 +279,9 @@ impl FlatMem {
     ///
     /// Returns [`SimError::UnmappedAddress`] if any byte is unmapped.
     pub fn read_bytes(&self, addr: Addr, len: usize) -> Result<Vec<u8>, SimError> {
-        if let Some((idx, off)) = self.locate(addr) {
-            let bytes = &self.regions[idx].1.bytes;
-            if let Some(slice) = bytes.get(off..off + len) {
-                return Ok(slice.to_vec());
-            }
-        }
-        (0..len)
-            .map(|i| self.read_byte(addr.offset(i as u32)))
-            .collect()
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out)?;
+        Ok(out)
     }
 
     /// Reads `buf.len()` bytes starting at `addr` into `buf` without
@@ -225,9 +292,27 @@ impl FlatMem {
     /// Returns [`SimError::UnmappedAddress`] if any byte is unmapped.
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) -> Result<(), SimError> {
         if let Some((idx, off)) = self.locate(addr) {
-            let bytes = &self.regions[idx].1.bytes;
-            if let Some(slice) = bytes.get(off..off + buf.len()) {
+            if let Some(slice) = self.regions[idx].1.bytes.get(off..off + buf.len()) {
                 buf.copy_from_slice(slice);
+                return Ok(());
+            }
+        }
+        self.read_miss(addr, buf)
+    }
+
+    /// The read path for a range outside the written prefix of one
+    /// region: bytes past the prefix read as zero, and a range running
+    /// past the region end is read byte by byte.
+    #[cold]
+    #[inline(never)]
+    fn read_miss(&self, addr: Addr, buf: &mut [u8]) -> Result<(), SimError> {
+        if let Some((idx, off)) = self.locate(addr) {
+            let region = &self.regions[idx].1;
+            if off + buf.len() <= region.len {
+                let src = region.bytes.get(off..).unwrap_or_default();
+                let n = src.len().min(buf.len());
+                buf[..n].copy_from_slice(&src[..n]);
+                buf[n..].fill(0);
                 return Ok(());
             }
         }
@@ -254,8 +339,7 @@ impl ArchMem for FlatMem {
         }
         // Single region lookup; an aligned access never straddles regions.
         if let Some((idx, off)) = self.locate(addr) {
-            let bytes = &self.regions[idx].1.bytes;
-            if let Some(slice) = bytes.get(off..off + size as usize) {
+            if let Some(slice) = self.regions[idx].1.bytes.get(off..off + size as usize) {
                 let mut v: u32 = 0;
                 for (i, &b) in slice.iter().enumerate() {
                     v |= u32::from(b) << (8 * i);
@@ -263,11 +347,9 @@ impl ArchMem for FlatMem {
                 return Ok(v);
             }
         }
-        let mut v: u32 = 0;
-        for i in 0..size {
-            v |= u32::from(self.read_byte(addr.offset(u32::from(i)))?) << (8 * i);
-        }
-        Ok(v)
+        let mut buf = [0; 4];
+        self.read_miss(addr, &mut buf[..size as usize])?;
+        Ok(u32::from_le_bytes(buf))
     }
 
     fn write(&mut self, addr: Addr, size: u8, value: u32) -> Result<(), SimError> {
@@ -286,10 +368,7 @@ impl ArchMem for FlatMem {
                 return Ok(());
             }
         }
-        for i in 0..size {
-            self.write_byte(addr.offset(u32::from(i)), (value >> (8 * i)) as u8)?;
-        }
-        Ok(())
+        self.write_miss(addr, &value.to_le_bytes()[..size as usize])
     }
 }
 
@@ -419,5 +498,247 @@ mod tests {
         m.add_region(Addr(0x100), 32);
         assert_eq!(m.region_span(Addr(0x11F)), Some((Addr(0x100), 32)));
         assert_eq!(m.region_span(Addr(0x120)), None);
+    }
+
+    /// Length of the written prefix of the region containing `addr`.
+    fn prefix(m: &FlatMem, addr: Addr) -> usize {
+        let (idx, _) = m.locate(addr).expect("mapped");
+        m.regions[idx].1.bytes.len()
+    }
+
+    #[test]
+    fn untouched_bytes_read_zero_without_growing_the_prefix() {
+        let mut m = FlatMem::new();
+        m.add_region(Addr(0x1000), 0x3000);
+        assert_eq!(m.read_byte(Addr(0x3FFF)).unwrap(), 0);
+        assert_eq!(m.read(Addr(0x1800), 4).unwrap(), 0);
+        assert_eq!(m.read_bytes(Addr(0x3FF0), 16).unwrap(), [0; 16]);
+        let mut buf = [0xAA; 8];
+        m.read_into(Addr(0x1004), &mut buf).unwrap();
+        assert_eq!(buf, [0; 8]);
+        assert_eq!(prefix(&m, Addr(0x1000)), 0);
+        assert_eq!(m.region_span(Addr(0x3FFF)), Some((Addr(0x1000), 0x3000)));
+        assert_eq!(m.generation(Addr(0x1000)), Some(0));
+
+        m.write_byte(Addr(0x1010), 7).unwrap();
+        assert_eq!(prefix(&m, Addr(0x1000)), GROW);
+        assert_eq!(m.read(Addr(0x3800), 4).unwrap(), 0);
+        assert_eq!(m.read_bytes(Addr(0x2000), 4).unwrap(), [0; 4]);
+        assert_eq!(prefix(&m, Addr(0x1000)), GROW);
+    }
+
+    #[test]
+    fn prefix_grows_in_page_steps_up_to_the_region_end() {
+        let mut m = FlatMem::new();
+        m.add_region(Addr(0x1000), 0x2800);
+        m.write_byte(Addr(0x1000), 1).unwrap();
+        assert_eq!(prefix(&m, Addr(0x1000)), 0x1000);
+        m.write(Addr(0x1FFC), 4, 2).unwrap();
+        assert_eq!(prefix(&m, Addr(0x1000)), 0x1000);
+        m.write(Addr(0x2000), 4, 3).unwrap();
+        assert_eq!(prefix(&m, Addr(0x1000)), 0x2000);
+        m.write_bytes(Addr(0x37FE), &[4, 5]).unwrap();
+        assert_eq!(prefix(&m, Addr(0x1000)), 0x2800);
+        assert_eq!(m.generation(Addr(0x1000)), Some(1 + 4 + 4 + 2));
+    }
+
+    #[test]
+    fn reads_straddling_the_prefix_end() {
+        let mut m = FlatMem::new();
+        m.add_region(Addr(0x1000), 0x3000);
+        m.write_bytes(Addr(0x1FFA), &[1, 2, 3, 4, 5, 6]).unwrap();
+        assert_eq!(prefix(&m, Addr(0x1000)), GROW);
+        assert_eq!(m.read(Addr(0x1FFC), 4).unwrap(), 0x0605_0403);
+        assert_eq!(m.read(Addr(0x2000), 4).unwrap(), 0);
+        let mut buf = [0xAA; 8];
+        m.read_into(Addr(0x1FFD), &mut buf).unwrap();
+        assert_eq!(buf, [4, 5, 6, 0, 0, 0, 0, 0]);
+        assert_eq!(
+            m.read_bytes(Addr(0x1FFC), 10).unwrap(),
+            [3, 4, 5, 6, 0, 0, 0, 0, 0, 0]
+        );
+        // Running off the region still fails at the first unmapped byte.
+        assert_eq!(
+            m.read_bytes(Addr(0x3FFE), 4),
+            Err(SimError::UnmappedAddress { addr: Addr(0x4000) })
+        );
+        assert_eq!(prefix(&m, Addr(0x1000)), GROW);
+    }
+
+    #[test]
+    fn writes_past_the_prefix_keep_the_buffer() {
+        let mut m = FlatMem::new();
+        m.add_region(Addr(0x1000), 0x3000);
+        let (ptr, cap) = {
+            let b = &m.regions[0].1.bytes;
+            (b.as_ptr(), b.capacity())
+        };
+        assert!(cap >= 0x3000);
+        m.write_byte(Addr(0x1010), 1).unwrap();
+        m.write(Addr(0x2040), 4, 0xDEAD_BEEF).unwrap();
+        m.write_bytes(Addr(0x3FF0), &[9; 16]).unwrap();
+        let b = &m.regions[0].1.bytes;
+        assert_eq!((b.as_ptr(), b.capacity()), (ptr, cap));
+        assert_eq!(b.len(), 0x3000);
+        assert_eq!(m.read(Addr(0x2040), 4).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(m.read_byte(Addr(0x3000)).unwrap(), 0);
+    }
+
+    #[test]
+    fn clone_keeps_the_reservation() {
+        let mut m = FlatMem::new();
+        m.add_region(Addr(0x1000), 0x3000);
+        m.write(Addr(0x1004), 4, 0x0102_0304).unwrap();
+        let mut c = m.clone();
+        let ptr = c.regions[0].1.bytes.as_ptr();
+        assert!(c.regions[0].1.bytes.capacity() >= 0x3000);
+        assert_eq!(prefix(&c, Addr(0x1000)), GROW);
+        assert_eq!(c.generation(Addr(0x1000)), Some(4));
+        c.write_byte(Addr(0x3FFF), 5).unwrap();
+        assert_eq!(c.regions[0].1.bytes.as_ptr(), ptr);
+        assert_eq!(c.read(Addr(0x1004), 4).unwrap(), 0x0102_0304);
+        assert_eq!(c.read_byte(Addr(0x3FFF)).unwrap(), 5);
+        assert_eq!(m.read_byte(Addr(0x3FFF)).unwrap(), 0);
+        assert_eq!(prefix(&m, Addr(0x1000)), GROW);
+    }
+
+    /// The dense byte-at-a-time semantics the prefix storage must keep:
+    /// every mapped byte stored, each written byte bumping its region's
+    /// generation, multi-byte accesses failing at the first unmapped byte
+    /// after writing the bytes before it.
+    struct Dense {
+        regions: Vec<(u32, u32)>,
+        bytes: Vec<u8>,
+        generations: Vec<u64>,
+    }
+
+    impl Dense {
+        const BASE: u32 = 0xFF0;
+        const END: u32 = 0x6810;
+
+        fn region(&self, addr: Addr) -> Result<usize, SimError> {
+            self.regions
+                .iter()
+                .position(|&(b, l)| addr.0 >= b && addr.0 - b < l)
+                .ok_or(SimError::UnmappedAddress { addr })
+        }
+
+        fn read_byte(&self, addr: Addr) -> Result<u8, SimError> {
+            self.region(addr)?;
+            Ok(self.bytes[(addr.0 - Self::BASE) as usize])
+        }
+
+        fn write_byte(&mut self, addr: Addr, v: u8) -> Result<(), SimError> {
+            let r = self.region(addr)?;
+            self.bytes[(addr.0 - Self::BASE) as usize] = v;
+            self.generations[r] += 1;
+            Ok(())
+        }
+
+        fn read_bytes(&self, addr: Addr, len: usize) -> Result<Vec<u8>, SimError> {
+            (0..len)
+                .map(|i| self.read_byte(addr.offset(i as u32)))
+                .collect()
+        }
+
+        fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), SimError> {
+            for (i, &b) in bytes.iter().enumerate() {
+                self.write_byte(addr.offset(i as u32), b)?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn random_accesses_match_a_dense_reference() {
+        // Regions of several growth steps, adjacent ones (the second ends
+        // off a word boundary, so aligned words straddle into the third)
+        // and unmapped gaps between and around them.
+        let regions = [
+            (0x1000, 0x2000),
+            (0x3000, 0x101E),
+            (0x401E, 0x62),
+            (0x5000, 0x1800),
+        ];
+        let mut rng = 0x5EED_u64;
+        let mut next = |n: u64| {
+            rng = audo_common::splitmix64(rng);
+            rng % n
+        };
+        // Fresh memories every round, so the sequence meets many prefix
+        // lengths, not just fully grown regions.
+        for _ in 0..300 {
+            let mut m = FlatMem::new();
+            let mut dense = Dense {
+                regions: regions.to_vec(),
+                bytes: vec![0; (Dense::END - Dense::BASE) as usize],
+                generations: vec![0; regions.len()],
+            };
+            for &(b, l) in &regions {
+                m.add_region(Addr(b), l);
+            }
+            for _ in 0..64 {
+                // Half the accesses land within 32 bytes of a growth step
+                // or region boundary, where prefix and region ends fall.
+                let addr = if next(2) == 0 {
+                    Addr(Dense::BASE + next(u64::from(Dense::END - Dense::BASE - 32)) as u32)
+                } else {
+                    let (b, l) = regions[next(regions.len() as u64) as usize];
+                    let step = next(u64::from(l) / GROW as u64 + 1) as u32;
+                    Addr((b + (step * GROW as u32).min(l) + next(48) as u32).saturating_sub(24))
+                };
+                let size = [1u8, 2, 4][next(3) as usize];
+                let value = next(1 << 32) as u32;
+                let len = next(24) as usize;
+                match next(7) {
+                    0 => assert_eq!(m.read_byte(addr), dense.read_byte(addr)),
+                    1 => assert_eq!(
+                        m.write_byte(addr, value as u8),
+                        dense.write_byte(addr, value as u8)
+                    ),
+                    2 => {
+                        let want = if addr.is_aligned(u32::from(size)) {
+                            dense
+                                .read_bytes(addr, size as usize)
+                                .map(|b| b.iter().rev().fold(0, |v, &x| (v << 8) | u32::from(x)))
+                        } else {
+                            Err(SimError::MisalignedAccess { addr, size })
+                        };
+                        assert_eq!(m.read(addr, size), want, "read {addr} size {size}");
+                    }
+                    3 => {
+                        let want = if addr.is_aligned(u32::from(size)) {
+                            let bytes = value.to_le_bytes();
+                            dense.write_bytes(addr, &bytes[..size as usize])
+                        } else {
+                            Err(SimError::MisalignedAccess { addr, size })
+                        };
+                        assert_eq!(m.write(addr, size, value), want, "write {addr} size {size}");
+                    }
+                    4 => {
+                        let bytes: Vec<u8> = (0..len).map(|i| value as u8 ^ i as u8).collect();
+                        assert_eq!(m.write_bytes(addr, &bytes), dense.write_bytes(addr, &bytes));
+                    }
+                    5 => assert_eq!(m.read_bytes(addr, len), dense.read_bytes(addr, len)),
+                    _ => {
+                        let mut buf = vec![0xAA; len];
+                        let got = m.read_into(addr, &mut buf).map(|()| buf);
+                        assert_eq!(got, dense.read_bytes(addr, len));
+                    }
+                }
+                // Write generations equal the dense implementation's.
+                for (r, &(b, l)) in regions.iter().enumerate() {
+                    assert_eq!(m.generation(Addr(b)), Some(dense.generations[r]));
+                    let p = prefix(&m, Addr(b));
+                    assert!(p.is_multiple_of(GROW) || p == l as usize, "prefix {p:#x}");
+                }
+            }
+            for &(b, l) in &regions {
+                assert_eq!(
+                    m.read_bytes(Addr(b), l as usize),
+                    dense.read_bytes(Addr(b), l as usize)
+                );
+            }
+        }
     }
 }

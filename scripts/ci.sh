@@ -173,27 +173,27 @@ echo "==> wcet gate: corpus soundness sweep, crafted CSA overflow vetoed, fuzz c
 # agreeing program to its static bound must come back clean at any
 # worker count. `tests/wcet_soundness.rs` itself runs in the tier-1
 # `cargo test -q` step and again in the `--workspace` step above.
+wz_dir="$(mktemp -d)"
 wc_status=0
 ./target/release/analyze --asm workloads/csa_overflow.s --wcet \
-    >/tmp/wcet_overflow.txt || wc_status=$?
+    >"$wz_dir/overflow.txt" || wc_status=$?
 if [ "$wc_status" -ne 2 ]; then
     echo "CSA overflow image: expected exit 2, got $wc_status" >&2
     exit 1
 fi
-grep -q 'CSA-OVERFLOW' /tmp/wcet_overflow.txt
+grep -q 'CSA-OVERFLOW' "$wz_dir/overflow.txt"
 ./target/release/analyze --asm workloads/csa_overflow.s --wcet \
     --csa-frames 64 >/dev/null
 ./target/release/analyze --workload engine --config tc1797 \
-    --wcet --check-profile >/tmp/wcet_profile.txt
-grep -q ': sound' /tmp/wcet_profile.txt
-wz_dir="$(mktemp -d)"
+    --wcet --check-profile >"$wz_dir/profile.txt"
+grep -q ': sound' "$wz_dir/profile.txt"
 ./target/release/fuzz --seed 0xF00D --iterations 64 --round 32 \
     --check-wcet --jobs 2 >"$wz_dir/j2.txt"
 ./target/release/fuzz --seed 0xF00D --iterations 64 --round 32 \
     --check-wcet --jobs 1 >"$wz_dir/j1.txt"
 cmp "$wz_dir/j1.txt" "$wz_dir/j2.txt"
 grep -q 'result: CLEAN' "$wz_dir/j1.txt"
-rm -rf "$wz_dir" /tmp/wcet_overflow.txt /tmp/wcet_profile.txt
+rm -rf "$wz_dir"
 echo "wcet gate passed"
 
 echo "==> fleet gate: clean fleet exits 0, planted unit vetoed, --jobs byte-identical"

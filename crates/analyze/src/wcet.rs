@@ -699,7 +699,7 @@ pub fn check_profile(
     }
 
     let mut out = ProfileCheck::default();
-    for (key, counts) in &profile.blocks {
+    for (key, counts) in profile.blocks() {
         // Self-modified code executes under a bumped generation; the
         // static image no longer describes those bytes.
         if stamps.get(&key.region) != Some(&key.generation) || counts.span == 0 {

@@ -116,19 +116,54 @@ impl BlockCounts {
 ///
 /// The recording methods are branch-free on the disabled path by
 /// construction — the tiers hold an `Option<Box<BlockProfile>>` and only
-/// call in when profiling is on — and cheap enough on the enabled path
-/// (one ordered-map lookup per event) that profiling stays usable on
-/// full workloads.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// call in when profiling is on — and on the enabled path cost a key
+/// compare per event; one index lookup when the block changes. Counters
+/// live in slots in first-seen order, an ordered index maps each key to
+/// its slot, and a one-entry memo of the last key's slot serves every
+/// event that hits the same block as the one before it. Slots are never
+/// removed, so the memo can never go stale.
+///
+/// Slot order is bookkeeping only: equality, [`BlockProfile::blocks`]
+/// and every renderer see the blocks in [`BlockKey`] order.
+#[derive(Clone, Default)]
 pub struct BlockProfile {
-    /// Per-block counters, ordered by [`BlockKey`].
-    pub blocks: BTreeMap<BlockKey, BlockCounts>,
+    /// Per-block counters in first-seen order.
+    slots: Vec<(BlockKey, BlockCounts)>,
+    /// Each key's index into `slots`.
+    index: BTreeMap<BlockKey, u32>,
+    /// The last key recorded and its slot.
+    last: Option<(BlockKey, u32)>,
     /// Cycles (and instructions) that could not be tied to a block:
     /// cold-start fetch before any block identity exists, interrupt-entry
     /// serialization, and instructions carved from unstamped bytes. Kept
     /// explicit so `Σ per-block cycles + unattributed == retire + Σ
     /// stalls == cycles` holds exactly.
     pub unattributed: BlockCounts,
+}
+
+impl PartialEq for BlockProfile {
+    fn eq(&self, other: &BlockProfile) -> bool {
+        self.unattributed == other.unattributed
+            && self.len() == other.len()
+            && self.blocks().eq(other.blocks())
+    }
+}
+
+impl Eq for BlockProfile {}
+
+impl std::fmt::Debug for BlockProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Blocks<'a>(&'a BlockProfile);
+        impl std::fmt::Debug for Blocks<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map().entries(self.0.blocks()).finish()
+            }
+        }
+        f.debug_struct("BlockProfile")
+            .field("blocks", &Blocks(self))
+            .field("unattributed", &self.unattributed)
+            .finish()
+    }
 }
 
 impl BlockProfile {
@@ -141,24 +176,77 @@ impl BlockProfile {
     /// Whether nothing has been recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty() && self.unattributed == BlockCounts::default()
+        self.slots.is_empty() && self.unattributed == BlockCounts::default()
     }
 
+    /// Number of distinct blocks recorded.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Per-block counters, ordered by [`BlockKey`].
+    pub fn blocks(&self) -> impl Iterator<Item = (&BlockKey, &BlockCounts)> + '_ {
+        self.index
+            .iter()
+            .map(|(key, &slot)| (key, &self.slots[slot as usize].1))
+    }
+
+    /// The counters of one block, if it was recorded.
+    #[must_use]
+    pub fn get(&self, key: &BlockKey) -> Option<&BlockCounts> {
+        self.index
+            .get(key)
+            .map(|&slot| &self.slots[slot as usize].1)
+    }
+
+    /// Sets one block's counters, replacing any recorded before.
+    pub fn insert(&mut self, key: BlockKey, counts: BlockCounts) {
+        *self.slot_mut(key) = counts;
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, key: BlockKey) -> &mut BlockCounts {
+        let slot = match self.last {
+            Some((last, slot)) if last == key => slot,
+            _ => self.slot_miss(key),
+        };
+        &mut self.slots[slot as usize].1
+    }
+
+    /// The memo missed: looks `key` up in the index (giving a new key the
+    /// next slot) and makes it the memo.
+    #[cold]
+    #[inline(never)]
+    fn slot_miss(&mut self, key: BlockKey) -> u32 {
+        let slots = &mut self.slots;
+        let slot = *self.index.entry(key).or_insert_with(|| {
+            let slot = u32::try_from(slots.len()).expect("fewer than 2^32 blocks");
+            slots.push((key, BlockCounts::default()));
+            slot
+        });
+        self.last = Some((key, slot));
+        slot
+    }
+
+    #[inline]
     fn counts_mut(&mut self, key: Option<BlockKey>) -> &mut BlockCounts {
         match key {
-            Some(k) => self.blocks.entry(k).or_default(),
+            Some(k) => self.slot_mut(k),
             None => &mut self.unattributed,
         }
     }
 
     /// Records one entry into the block (execution reached its first
     /// instruction).
+    #[inline]
     pub fn record_entry(&mut self, key: BlockKey) {
-        self.blocks.entry(key).or_default().executions += 1;
+        self.slot_mut(key).executions += 1;
     }
 
     /// Records one retired instruction whose encoding ends `end_offset`
     /// bytes after the block start (`None` = unattributable).
+    #[inline]
     pub fn record_instr(&mut self, key: Option<BlockKey>, end_offset: u32) {
         let c = self.counts_mut(key);
         c.instructions += 1;
@@ -167,12 +255,14 @@ impl BlockProfile {
 
     /// Charges one retire cycle to the block owning the first instruction
     /// retired this cycle (`None` = unattributable).
+    #[inline]
     pub fn record_retire_cycle(&mut self, key: Option<BlockKey>) {
         self.counts_mut(key).retire_cycles += 1;
     }
 
     /// Charges one stall cycle to the block owning the instruction that
     /// caused the stall (`None` = unattributable).
+    #[inline]
     pub fn record_stall_cycle(&mut self, key: Option<BlockKey>, reason: StallReason) {
         self.counts_mut(key).stall_cycles[reason.index()] += 1;
     }
@@ -180,8 +270,8 @@ impl BlockProfile {
     /// Merges another profile into this one. Merging is associative and
     /// commutative, so shard-folded aggregates equal serial folds.
     pub fn merge(&mut self, other: &BlockProfile) {
-        for (key, counts) in &other.blocks {
-            self.blocks.entry(*key).or_default().merge(counts);
+        for (key, counts) in &other.slots {
+            self.slot_mut(*key).merge(counts);
         }
         self.unattributed.merge(&other.unattributed);
     }
@@ -190,7 +280,7 @@ impl BlockProfile {
     #[must_use]
     pub fn total(&self) -> BlockCounts {
         let mut t = self.unattributed;
-        for counts in self.blocks.values() {
+        for (_, counts) in &self.slots {
             t.merge(counts);
         }
         t
@@ -200,7 +290,7 @@ impl BlockProfile {
     /// ascending key — a total, deterministic order.
     #[must_use]
     pub fn top_blocks(&self, n: usize) -> Vec<(&BlockKey, &BlockCounts)> {
-        let mut v: Vec<_> = self.blocks.iter().collect();
+        let mut v: Vec<_> = self.slots.iter().map(|(k, c)| (k, c)).collect();
         v.sort_by(|(ka, ca), (kb, cb)| cb.weight().cmp(&ca.weight()).then(ka.cmp(kb)));
         v.truncate(n);
         v
@@ -370,7 +460,7 @@ pub fn flame_stacks(
             c.instructions
         }
     };
-    for (key, counts) in &profile.blocks {
+    for (key, counts) in profile.blocks() {
         let w = weight_of(counts);
         if w == 0 {
             continue;
@@ -413,8 +503,8 @@ pub fn render_hot_blocks(profile: &BlockProfile, symbols: &SymbolMap, n: usize) 
     };
     let mut out = format!(
         "hot blocks: top {} of {} ({} {} total, {} unattributed)\n",
-        n.min(profile.blocks.len()),
-        profile.blocks.len(),
+        n.min(profile.len()),
+        profile.len(),
         whole,
         metric,
         if timed {
@@ -526,9 +616,8 @@ impl ProfileDoc {
         symbols: &SymbolMap,
     ) -> ProfileDoc {
         let resolved = profile
-            .blocks
-            .keys()
-            .map(|k| (*k, symbols.resolve(k.addr()).to_string()))
+            .blocks()
+            .map(|(k, _)| (*k, symbols.resolve(k.addr()).to_string()))
             .collect();
         ProfileDoc {
             workload: workload.to_string(),
@@ -558,8 +647,8 @@ impl ProfileDoc {
             counts_json(&self.profile.unattributed)
         );
         out.push_str("  \"blocks\": [\n");
-        let last = self.profile.blocks.len();
-        for (i, (key, c)) in self.profile.blocks.iter().enumerate() {
+        let last = self.profile.len();
+        for (i, (key, c)) in self.profile.blocks().enumerate() {
             let sym = self.symbols.get(key).map_or("?", String::as_str);
             let _ = writeln!(
                 out,
@@ -607,7 +696,7 @@ impl ProfileDoc {
                     generation: u64_field(t, "generation").ok_or_else(|| bad(t, "generation"))?,
                 };
                 let sym = str_field(t, "symbol").ok_or_else(|| bad(t, "symbol"))?;
-                doc.profile.blocks.insert(key, counts_from_json(t)?);
+                doc.profile.insert(key, counts_from_json(t)?);
                 doc.symbols.insert(key, sym);
             }
         }
@@ -623,16 +712,15 @@ impl ProfileDoc {
     pub fn delta_table(&self, after: &ProfileDoc, top: usize) -> String {
         let keys: BTreeSet<BlockKey> = self
             .profile
-            .blocks
-            .keys()
-            .chain(after.profile.blocks.keys())
-            .copied()
+            .blocks()
+            .chain(after.profile.blocks())
+            .map(|(k, _)| *k)
             .collect();
         let zero = BlockCounts::default();
         let mut rows: Vec<(BlockKey, i128, i128, i128)> = Vec::new();
         for key in &keys {
-            let a = self.profile.blocks.get(key).unwrap_or(&zero);
-            let b = after.profile.blocks.get(key).unwrap_or(&zero);
+            let a = self.profile.get(key).unwrap_or(&zero);
+            let b = after.profile.get(key).unwrap_or(&zero);
             let dc = i128::from(b.cycles()) - i128::from(a.cycles());
             let di = i128::from(b.instructions) - i128::from(a.instructions);
             let de = i128::from(b.executions) - i128::from(a.executions);
@@ -927,5 +1015,228 @@ mod tests {
         });
         assert!(out.contains("movi d0, 1"), "{out}");
         assert!(out.contains("cycles 1"), "{out}");
+    }
+
+    /// The plain ordered-map profile the slot storage must agree with.
+    #[derive(Default)]
+    struct Reference {
+        blocks: BTreeMap<BlockKey, BlockCounts>,
+        unattributed: BlockCounts,
+    }
+
+    impl Reference {
+        fn counts(&mut self, key: Option<BlockKey>) -> &mut BlockCounts {
+            match key {
+                Some(k) => self.blocks.entry(k).or_default(),
+                None => &mut self.unattributed,
+            }
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            for (k, c) in &other.blocks {
+                self.blocks.entry(*k).or_default().merge(c);
+            }
+            self.unattributed.merge(&other.unattributed);
+        }
+
+        /// The same contents recorded in key order, so slot order and key
+        /// order coincide.
+        fn profile(&self) -> BlockProfile {
+            let mut p = BlockProfile::new();
+            for (k, c) in &self.blocks {
+                p.insert(*k, *c);
+            }
+            p.unattributed = self.unattributed;
+            p
+        }
+    }
+
+    fn json(p: &BlockProfile) -> String {
+        ProfileDoc::new("model", "pipeline", 0, 0, p.clone(), &SymbolMap::new()).to_json()
+    }
+
+    fn check_against(p: &BlockProfile, r: &Reference) {
+        let want: Vec<(BlockKey, BlockCounts)> = r.blocks.iter().map(|(k, c)| (*k, *c)).collect();
+        let got: Vec<(BlockKey, BlockCounts)> = p.blocks().map(|(k, c)| (*k, *c)).collect();
+        assert_eq!(got, want, "blocks() is the reference in key order");
+        assert_eq!(p.len(), r.blocks.len());
+        assert_eq!(p.unattributed, r.unattributed);
+        for (k, c) in &r.blocks {
+            assert_eq!(p.get(k), Some(c));
+        }
+        let mut total = r.unattributed;
+        for c in r.blocks.values() {
+            total.merge(c);
+        }
+        assert_eq!(p.total(), total);
+        let mut top = want;
+        top.sort_by(|(ka, ca), (kb, cb)| cb.weight().cmp(&ca.weight()).then(ka.cmp(kb)));
+        top.truncate(3);
+        let got_top: Vec<(BlockKey, BlockCounts)> =
+            p.top_blocks(3).into_iter().map(|(k, c)| (*k, *c)).collect();
+        assert_eq!(got_top, top);
+        let in_key_order = r.profile();
+        assert_eq!(*p, in_key_order);
+        assert_eq!(json(p), json(&in_key_order));
+        // The memo, when set, names a slot holding its key.
+        if let Some((k, slot)) = p.last {
+            assert_eq!(p.slots[slot as usize].0, k, "memo points at its key's slot");
+        }
+    }
+
+    #[test]
+    fn random_recording_matches_an_ordered_map_reference() {
+        // Keys that differ in one field only, so a memo compare that
+        // skipped a field would charge the wrong block.
+        let keys = [
+            key(0),
+            key(0x10),
+            BlockKey {
+                generation: 1,
+                ..key(0x10)
+            },
+            BlockKey {
+                region: 0xD000_0000,
+                ..key(0x10)
+            },
+            key(0x24),
+            BlockKey {
+                region: 0xA000_0000,
+                offset: 0,
+                generation: 3,
+            },
+        ];
+        let mut rng = 0xB10C_u64;
+        let mut next = |n: u64| {
+            rng = audo_common::splitmix64(rng);
+            rng % n
+        };
+        for _ in 0..200 {
+            let mut p = BlockProfile::new();
+            let mut r = Reference::default();
+            // Keys come in runs of one block, alternate between the last
+            // two blocks, or jump anywhere (`None` = unattributed).
+            let (mut cur, mut prev) = (0usize, 1usize);
+            for _ in 0..64 {
+                let pick = match next(8) {
+                    0..=3 => cur,
+                    4 | 5 => prev,
+                    _ => next(keys.len() as u64 + 1) as usize,
+                };
+                if pick != cur {
+                    prev = cur;
+                    cur = pick;
+                }
+                let k = keys.get(cur).copied();
+                let reason = StallReason::ALL[next(StallReason::COUNT as u64) as usize];
+                let end = next(64) as u32;
+                let recorded = match next(10) {
+                    0 => {
+                        let k = k.unwrap_or(keys[0]);
+                        p.record_entry(k);
+                        r.counts(Some(k)).executions += 1;
+                        Some(k)
+                    }
+                    1..=3 => {
+                        p.record_instr(k, end);
+                        let c = r.counts(k);
+                        c.instructions += 1;
+                        c.span = c.span.max(end);
+                        k
+                    }
+                    4 => {
+                        p.record_retire_cycle(k);
+                        r.counts(k).retire_cycles += 1;
+                        k
+                    }
+                    5 => {
+                        p.record_stall_cycle(k, reason);
+                        r.counts(k).stall_cycles[reason.index()] += 1;
+                        k
+                    }
+                    6 => {
+                        let k = k.unwrap_or(keys[1]);
+                        let mut c = BlockCounts {
+                            executions: next(5),
+                            instructions: next(50),
+                            span: end,
+                            retire_cycles: next(80),
+                            ..BlockCounts::default()
+                        };
+                        c.stall_cycles[reason.index()] = next(9);
+                        p.insert(k, c);
+                        r.blocks.insert(k, c);
+                        None
+                    }
+                    7 => {
+                        let mut other = BlockProfile::new();
+                        let mut other_ref = Reference::default();
+                        for _ in 0..next(5) {
+                            let k = keys.get(next(keys.len() as u64 + 1) as usize).copied();
+                            other.record_stall_cycle(k, reason);
+                            other_ref.counts(k).stall_cycles[reason.index()] += 1;
+                            other.record_instr(k, end);
+                            let c = other_ref.counts(k);
+                            c.instructions += 1;
+                            c.span = c.span.max(end);
+                        }
+                        p.merge(&other);
+                        r.merge(&other_ref);
+                        None
+                    }
+                    8 => {
+                        // Record on a clone from here on; the original
+                        // must not see it.
+                        let original = p.clone();
+                        p = original.clone();
+                        p.record_retire_cycle(k);
+                        check_against(&original, &r);
+                        r.counts(k).retire_cycles += 1;
+                        k
+                    }
+                    _ => {
+                        // Profiling re-enabled: a fresh profile.
+                        p = BlockProfile::new();
+                        r = Reference::default();
+                        None
+                    }
+                };
+                check_against(&p, &r);
+                if let Some(k) = recorded {
+                    assert_eq!(
+                        p.last.map(|(last, _)| last),
+                        Some(k),
+                        "memo follows the block"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_seen_order_does_not_show() {
+        let mut a = BlockProfile::new();
+        let mut b = BlockProfile::new();
+        let order = [key(0x40), key(0), key(0x20)];
+        for (i, k) in order.iter().enumerate() {
+            for _ in 0..=i {
+                a.record_retire_cycle(Some(*k));
+            }
+        }
+        for (i, k) in order.iter().enumerate().rev() {
+            b.record_instr(Some(*k), 4);
+            for _ in 0..=i {
+                b.record_retire_cycle(Some(*k));
+            }
+        }
+        for k in &order {
+            a.record_instr(Some(*k), 4);
+        }
+        assert_ne!(a.slots[0].0, b.slots[0].0, "different first-seen orders");
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(json(&a), json(&b));
+        let keys: Vec<u32> = a.blocks().map(|(k, _)| k.offset).collect();
+        assert_eq!(keys, vec![0, 0x20, 0x40]);
     }
 }

@@ -400,7 +400,10 @@ impl Core {
     }
 
     /// Enables or disables block-level cycle attribution (default: off,
-    /// costing one untaken branch per charge site).
+    /// costing one untaken branch per charge site). On, each charge is a
+    /// key compare, plus one ordered-index lookup whenever the charged
+    /// block changes: about 1.08× the cached pipeline's run time
+    /// (`tier_bench` `cached+profile / cached` geomean).
     ///
     /// When on, every cycle the core accounts — retire cycles and every
     /// [`StallReason`]-classified stall cycle — is additionally charged to

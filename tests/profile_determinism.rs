@@ -138,7 +138,7 @@ fn check_attribution(fast: bool) {
     for (reason, slot) in StallReason::ALL.iter().zip(sum_stall.iter_mut()) {
         *slot += profile.unattributed.stall_cycles[reason.index()];
     }
-    for c in profile.blocks.values() {
+    for (_, c) in profile.blocks() {
         sum_retire += c.retire_cycles;
         sum_instrs += c.instructions;
         attributed += c.cycles();
@@ -238,7 +238,7 @@ fn smc_generation_bump_keeps_stale_blocks_distinct() {
     // one, each with its own execution count.
     let mut generations: std::collections::BTreeMap<(u32, u32), Vec<u64>> =
         std::collections::BTreeMap::new();
-    for (key, counts) in &profile.blocks {
+    for (key, counts) in profile.blocks() {
         if counts.executions > 0 {
             generations
                 .entry((key.region, key.offset))
@@ -250,7 +250,7 @@ fn smc_generation_bump_keeps_stale_blocks_distinct() {
     assert!(
         !multi.is_empty(),
         "self-modified code must profile under distinct generations: {:?}",
-        profile.blocks.keys().collect::<Vec<_>>()
+        profile.blocks().map(|(k, _)| k).collect::<Vec<_>>()
     );
     // And the profile still balances: the pipeline's stall accounting
     // invariant survives invalidation traffic.

@@ -26,7 +26,7 @@ pub mod predict;
 pub mod symbols;
 pub mod wcet;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use audo_common::Addr;
 use audo_platform::config::{Region, SocConfig};
@@ -84,11 +84,12 @@ pub fn analyze(image: &Image, soc: &SocConfig, masters: &MasterRanges, name: &st
     let graph = cfg::recover(image);
     let sol = constprop::solve(&graph);
     let accesses = access::extract(&graph, &sol, soc);
+    let adj = graph.adjacency();
 
     let mut findings = Vec::new();
     access_findings(&accesses, &mut findings);
     findings.extend(hazard::detect(&accesses, masters, soc));
-    loop_findings(&graph, &mut findings);
+    loop_findings(&graph, &adj, &mut findings);
     unreachable_findings(&graph, image, &mut findings);
     unresolved_findings(&graph, &mut findings);
 
@@ -105,7 +106,7 @@ pub fn analyze(image: &Image, soc: &SocConfig, masters: &MasterRanges, name: &st
     findings.sort_by(|x, y| x.sort_key().cmp(&y.sort_key()));
     findings.dedup();
 
-    let prediction = predict::predict(&graph, &sol, soc);
+    let prediction = predict::predict(&graph, &adj, &sol, soc);
     Analysis {
         image_name: name.to_string(),
         cfg: graph,
@@ -175,11 +176,11 @@ fn access_findings(accesses: &[MemAccess], out: &mut Vec<Finding>) {
 /// Warns about cycles with no way out: an SCC whose blocks have no edge
 /// leaving the component and contain no `halt`/`wait` (a `wait` parks the
 /// core for an interrupt, which is an idle loop, not a hang).
-fn loop_findings(graph: &cfg::Cfg, out: &mut Vec<Finding>) {
+/// `adj` is [`cfg::Cfg::adjacency`].
+fn loop_findings(graph: &cfg::Cfg, adj: &BTreeMap<u32, Vec<u32>>, out: &mut Vec<Finding>) {
     use audo_tricore::isa::Instr;
-    let adj = graph.adjacency();
     let all = adj.keys().copied().collect();
-    for comp in cfg::cyclic_sccs(&adj, &all, &BTreeSet::new()) {
+    for comp in cfg::cyclic_sccs(adj, &all, &BTreeSet::new()) {
         let escapes = comp
             .iter()
             .any(|b| graph.blocks[b].edges.iter().any(|e| !comp.contains(&e.to)));

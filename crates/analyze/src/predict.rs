@@ -202,11 +202,15 @@ fn data_penalty(soc: &SocConfig, region: Option<Region>) -> u64 {
 
 /// Computes the steady-state block set with trip weights.
 ///
-/// Returns `(block start -> weight)`; see the module docs for the rules.
+/// `adj` is [`Cfg::adjacency`] and `preds` its predecessor map. Returns
+/// `(block start -> weight)`; see the module docs for the rules.
 #[must_use]
-pub fn steady_set(cfg: &Cfg, sol: &Solution) -> BTreeMap<u32, u64> {
-    let adj = cfg.adjacency();
-    let preds = cfg::predecessors(&adj);
+pub(crate) fn steady_set(
+    cfg: &Cfg,
+    adj: &BTreeMap<u32, Vec<u32>>,
+    preds: &BTreeMap<u32, Vec<u32>>,
+    sol: &Solution,
+) -> BTreeMap<u32, u64> {
     let all: BTreeSet<u32> = adj.keys().copied().collect();
 
     // Roots of the steady region: interrupt vectors, plus every block in
@@ -217,10 +221,10 @@ pub fn steady_set(cfg: &Cfg, sol: &Solution) -> BTreeMap<u32, u64> {
         .filter(|(_, name)| name.starts_with("vector"))
         .map(|(a, _)| *a)
         .collect();
-    for comp in cfg::cyclic_sccs(&adj, &all, &BTreeSet::new()) {
+    for comp in cfg::cyclic_sccs(adj, &all, &BTreeSet::new()) {
         let bounded = comp.len() == 1 && {
             let only = *comp.iter().next().expect("non-empty");
-            self_loop_weight(cfg, sol, &preds, only).is_some()
+            self_loop_weight(cfg, sol, preds, only).is_some()
         };
         if !bounded {
             seeds.extend(comp);
@@ -232,17 +236,22 @@ pub fn steady_set(cfg: &Cfg, sol: &Solution) -> BTreeMap<u32, u64> {
         seeds = cfg.roots.iter().map(|(a, _)| *a).collect();
     }
 
-    cfg::reachable(&adj, &seeds)
+    cfg::reachable(adj, &seeds)
         .into_iter()
-        .map(|b| (b, self_loop_weight(cfg, sol, &preds, b).unwrap_or(1)))
+        .map(|b| (b, self_loop_weight(cfg, sol, preds, b).unwrap_or(1)))
         .collect()
 }
 
-/// Builds the whole-image prediction.
+/// Builds the whole-image prediction; `adj` is [`Cfg::adjacency`].
 #[must_use]
-pub fn predict(cfg: &Cfg, sol: &Solution, soc: &SocConfig) -> Prediction {
-    let preds = cfg::predecessors(&cfg.adjacency());
-    let weights = steady_set(cfg, sol);
+pub(crate) fn predict(
+    cfg: &Cfg,
+    adj: &BTreeMap<u32, Vec<u32>>,
+    sol: &Solution,
+    soc: &SocConfig,
+) -> Prediction {
+    let preds = cfg::predecessors(adj);
+    let weights = steady_set(cfg, adj, &preds, sol);
     // One timing table: the same exported cost model the WCET analyzer
     // and the cycle-level pipeline share.
     let model = CostModel::new(soc.cpu.clone(), wcet::soc_mem_costs(soc));
@@ -490,7 +499,7 @@ mod tests {
     fn predicted(src: &str) -> Prediction {
         let g = cfg::recover(&assemble(src).expect("test source assembles"));
         let sol = constprop::solve(&g);
-        predict(&g, &sol, &SocConfig::tc1797())
+        predict(&g, &g.adjacency(), &sol, &SocConfig::tc1797())
     }
 
     #[test]
@@ -703,7 +712,9 @@ bg:
     fn steady_of(src: &str) -> (BTreeMap<u32, u64>, u32) {
         let g = cfg::recover(&assemble(src).expect("test source assembles"));
         let sol = constprop::solve(&g);
-        (steady_set(&g, &sol), self_loop_of(&g))
+        let adj = g.adjacency();
+        let preds = cfg::predecessors(&adj);
+        (steady_set(&g, &adj, &preds, &sol), self_loop_of(&g))
     }
 
     #[test]

@@ -151,9 +151,10 @@ impl MemWidth {
 
 /// A decoded TC-R instruction.
 ///
-/// The enum is the single source of truth for the ISA: the encoder, decoder,
-/// assembler, disassembler, execution semantics and pipeline classification
-/// all match on it.
+/// Execution semantics and pipeline classification match on it directly;
+/// the encoder, decoder, assembler and disassembler reach it only through
+/// the instruction-form table (`forms.rs`), which builds and destructures
+/// each variant once per encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Instr {

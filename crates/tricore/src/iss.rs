@@ -399,11 +399,15 @@ impl Iss {
     /// Propagates decode and memory faults.
     pub fn step(&mut self) -> Result<Outcome, SimError> {
         let pc = self.state.pc;
-        let bytes = self
-            .mem
-            .read_bytes(Addr(pc), 4)
-            .or_else(|_| self.mem.read_bytes(Addr(pc), 2))?;
-        let (instr, ilen) = decode(&bytes, Addr(pc))?;
+        let mut buf = [0u8; 4];
+        let fetched = match self.mem.read_into(Addr(pc), &mut buf) {
+            Ok(()) => &buf[..],
+            Err(_) => {
+                self.mem.read_into(Addr(pc), &mut buf[..2])?;
+                &buf[..2]
+            }
+        };
+        let (instr, ilen) = decode(fetched, Addr(pc))?;
         let out = execute(&mut self.state, &mut self.mem, &instr, pc, ilen)?;
         self.note_mix(&instr);
         self.note_opcode(&instr, ilen);

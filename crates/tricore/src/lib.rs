@@ -14,6 +14,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`isa`] | the instruction set and register model |
+//! | `forms` | the instruction-form table `encode`, `opcodes`, `asm` and `disasm` read |
 //! | [`encode`] | binary encode/decode (mixed 16/32-bit formats) |
 //! | [`opcodes`] | assigned-opcode tables, coverage indices, per-slot samples |
 //! | [`asm`] | two-pass text assembler |
@@ -64,6 +65,7 @@ pub mod decode_cache;
 pub mod disasm;
 pub mod encode;
 pub mod exec;
+mod forms;
 pub mod image;
 pub mod isa;
 pub mod iss;

@@ -161,3 +161,65 @@ fn equ_must_be_defined_before_use_in_sizing() {
     );
     assert!(img.is_ok(), "pass-2 resolution: {img:?}");
 }
+
+fn line_and_message(src: &str) -> (usize, String) {
+    match assemble(src).unwrap_err() {
+        SimError::Assemble { line, message } => (line, message),
+        other => panic!("wrong error: {other}"),
+    }
+}
+
+#[test]
+fn data_values_that_do_not_fit_are_rejected() {
+    for (src, bits) in [
+        (".half 0x10000", "16-bit"),
+        (".half 70000", "16-bit"),
+        (".half -32769", "16-bit"),
+        (".byte 300", "8-bit"),
+        (".byte 256", "8-bit"),
+        (".byte -129", "8-bit"),
+    ] {
+        let (line, message) = line_and_message(&format!(
+            ".org 0
+ nop
+ {src}
+"
+        ));
+        assert_eq!(line, 3, "{src}");
+        assert!(message.contains(bits), "{src}: {message}");
+    }
+    let img = assemble(
+        ".org 0
+ .half 0xFFFF, -32768
+ .byte 255, -128, 'A'
+",
+    )
+    .unwrap();
+    assert_eq!(
+        img.sections()[0].bytes,
+        [0xFF, 0xFF, 0x00, 0x80, 0xFF, 0x80, b'A']
+    );
+}
+
+#[test]
+fn addia_takes_a_signed_or_unsigned_16_bit_immediate() {
+    for bad in ["0x12345", "0x10000", "-32769"] {
+        let (line, message) = line_and_message(&format!(
+            ".org 0
+ addia a2, {bad}
+"
+        ));
+        assert_eq!(line, 2, "{bad}");
+        assert!(message.contains("16-bit"), "{bad}: {message}");
+    }
+    let img = assemble(
+        ".org 0
+ addia a2, -32768
+ addia a2, 0xFFFF
+",
+    )
+    .unwrap();
+    let b = &img.sections()[0].bytes;
+    assert_eq!(u16::from_le_bytes([b[2], b[3]]), 0x8000);
+    assert_eq!(u16::from_le_bytes([b[6], b[7]]), 0xFFFF);
+}

@@ -56,6 +56,36 @@ fn report_is_byte_identical_across_job_counts_and_clean() {
     assert!(serial.retired_total > 0);
 }
 
+/// A `--check-wcet` session over the corpus plus generated programs,
+/// pinned byte for byte: the report, the per-slot opcode coverage, the
+/// per-cause stall coverage and the retired total. Every check the tier
+/// checker makes feeds one of these, so a change that drops or weakens
+/// a check on the way to a faster checker moves this file.
+///
+/// Regenerate only after an intentional change:
+/// `GOLDEN_REGEN=1 cargo test --test fuzz_determinism`.
+#[test]
+fn check_wcet_session_matches_the_committed_golden() {
+    let opts = FuzzOptions {
+        seed: 0xF00D,
+        iterations: 64,
+        round: 32,
+        check_wcet: true,
+        ..base_opts()
+    };
+    let report = run_fuzz(&opts, serial_schedule).expect("session runs");
+    let mut reg = audo_obs::Registry::new();
+    report.export_obs(&mut reg);
+    let text = format!(
+        "{}{}",
+        report.render(),
+        audo_obs::metrics_text::render(&reg, "")
+    );
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/fuzz_report_f00d_wcet.txt");
+    audo_common::golden::check(&golden, &text);
+}
+
 /// An injected tier bug must surface as a divergence with a minimized,
 /// pinned reproducer that round-trips through the literate parser and
 /// the assembler — and the failure report must itself be deterministic

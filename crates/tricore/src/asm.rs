@@ -35,11 +35,12 @@
 //! literals, char literals, symbols, and the functions `lo(x)`, `hi(x)`
 //! (plain halves) and `hia(x)` (high half adjusted for a signed low half).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use audo_common::{Addr, SimError};
 
-use crate::encode::encode;
+use crate::encode::{encode, Encoded};
 use crate::forms::{self, Form, Imm, Kind};
 use crate::image::{Image, Section};
 use crate::isa::{AReg, Csfr, DReg, Instr};
@@ -63,6 +64,74 @@ pub fn assemble(src: &str) -> Result<Image, SimError> {
     Assembler::new().run(src)
 }
 
+/// Assembles one instruction line placed at `pc`, with no symbols
+/// defined: the bytes `assemble(".org pc\n" + text)` puts at `pc`, or its
+/// error (reported at line 1). The line takes the same path as a line of
+/// [`assemble`] — mnemonic normalisation, form selection and operand
+/// packing — and allocates nothing on success.
+///
+/// `text` is one statement, optionally followed by a comment; labels and
+/// directives are not instructions and are rejected.
+///
+/// # Errors
+///
+/// Returns [`SimError::Assemble`] for anything [`assemble`] rejects on
+/// that line.
+///
+/// # Examples
+///
+/// ```
+/// use audo_common::Addr;
+/// use audo_tricore::asm::assemble_instr;
+/// let code = assemble_instr("jnz d2, 0x1000", Addr(0x1004))?;
+/// assert_eq!(code.as_bytes().len(), 4);
+/// assert!(assemble_instr("addi d0, d1, 5000", Addr(0x1000)).is_err());
+/// # Ok::<(), audo_common::SimError>(())
+/// ```
+pub fn assemble_instr(text: &str, pc: Addr) -> Result<LineCode, SimError> {
+    const LINE: usize = 1;
+    let (mnemonic, args) = split_mnemonic(strip_comment(text).trim());
+    let mnemonic = normalise(mnemonic);
+    if pc.0 % 2 != 0 {
+        return Err(odd_pc(LINE));
+    }
+    let asm = Assembler::new();
+    let ops = Operands::parse(args);
+    let form = asm.select(&mnemonic, &ops);
+    asm.code(LINE, pc.0, &mnemonic, &ops, form)
+}
+
+/// The machine code of one instruction line: one instruction, or the two
+/// 32-bit instructions an `li`/`la` pseudo expands to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineCode {
+    bytes: [u8; 8],
+    len: u8,
+}
+
+impl LineCode {
+    /// The encoded bytes, in address order.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    fn pair(hi: Encoded, lo: Encoded) -> LineCode {
+        let mut code = LineCode::from(hi);
+        code.bytes[usize::from(code.len)..][..usize::from(lo.len)].copy_from_slice(lo.as_bytes());
+        code.len += lo.len;
+        code
+    }
+}
+
+impl From<Encoded> for LineCode {
+    fn from(e: Encoded) -> LineCode {
+        let mut bytes = [0; 8];
+        bytes[..4].copy_from_slice(&e.bytes);
+        LineCode { bytes, len: e.len }
+    }
+}
+
 fn err(line: usize, message: impl Into<String>) -> SimError {
     SimError::Assemble {
         line,
@@ -70,23 +139,28 @@ fn err(line: usize, message: impl Into<String>) -> SimError {
     }
 }
 
+fn odd_pc(line: usize) -> SimError {
+    err(line, "instruction at odd address (missing .align 2?)")
+}
+
 #[derive(Debug)]
-enum Item {
+enum Item<'a> {
     /// An instruction (or an `li`/`la` pseudo expanding to two), with the
     /// form pass 1 chose for it; `None` for an unknown mnemonic.
     Code {
         line: usize,
         pc: u32,
-        mnemonic: String,
-        ops: Vec<String>,
+        mnemonic: Cow<'a, str>,
+        ops: Operands<'a>,
         form: Option<&'static Form>,
     },
-    /// `.word`/`.half`/`.byte` data with expression elements.
+    /// `.word`/`.half`/`.byte` data: the comma-separated expressions of
+    /// `args`.
     Data {
         line: usize,
         pc: u32,
         width: u8,
-        exprs: Vec<String>,
+        args: &'a str,
     },
     /// `.space` fill.
     Space { pc: u32, len: u32 },
@@ -94,32 +168,53 @@ enum Item {
     Pad { pc: u32, len: u32 },
 }
 
+/// What pass 2 writes at an address.
+enum Chunk {
+    Code(LineCode),
+    Data(Vec<u8>),
+    Zeros(u32),
+}
+
+impl Chunk {
+    fn len(&self) -> usize {
+        match self {
+            Chunk::Code(c) => c.as_bytes().len(),
+            Chunk::Data(d) => d.len(),
+            Chunk::Zeros(n) => *n as usize,
+        }
+    }
+
+    fn append_to(&self, out: &mut Vec<u8>) {
+        match self {
+            Chunk::Code(c) => out.extend_from_slice(c.as_bytes()),
+            Chunk::Data(d) => out.extend_from_slice(d),
+            Chunk::Zeros(n) => out.resize(out.len() + *n as usize, 0),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
-struct Assembler {
+struct Assembler<'a> {
     symbols: BTreeMap<String, u32>,
-    items: Vec<Item>,
+    items: Vec<Item<'a>>,
     section_starts: Vec<u32>,
 }
 
-impl Assembler {
-    fn new() -> Assembler {
+impl<'a> Assembler<'a> {
+    fn new() -> Assembler<'a> {
         Assembler::default()
     }
 
-    fn run(mut self, src: &str) -> Result<Image, SimError> {
+    fn run(mut self, src: &'a str) -> Result<Image, SimError> {
         self.pass1(src)?;
         self.pass2()
     }
 
-    fn pass1(&mut self, src: &str) -> Result<(), SimError> {
+    fn pass1(&mut self, src: &'a str) -> Result<(), SimError> {
         let mut pc: Option<u32> = None;
         for (idx, raw) in src.lines().enumerate() {
             let line_no = idx + 1;
-            let mut line = raw;
-            if let Some(p) = line.find([';', '#']) {
-                line = &line[..p];
-            }
-            let line = line.trim();
+            let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
@@ -141,24 +236,18 @@ impl Assembler {
                 continue;
             }
             let (mnemonic, args) = split_mnemonic(rest);
-            let mut mnemonic = mnemonic.to_ascii_lowercase();
-            let ops = split_operands(args);
+            let mnemonic = normalise(mnemonic);
+            let ops = Operands::parse(args);
             if let Some(directive) = mnemonic.strip_prefix('.') {
-                pc = self.directive(line_no, directive, &ops, pc)?;
+                pc = self.directive(line_no, directive, &ops, args, pc)?;
                 continue;
             }
             let here = pc.ok_or_else(|| err(line_no, "instruction before .org"))?;
             if here % 2 != 0 {
-                return Err(err(
-                    line_no,
-                    "instruction at odd address (missing .align 2?)",
-                ));
-            }
-            if mnemonic == "dbg" {
-                mnemonic = "debug".to_string();
+                return Err(odd_pc(line_no));
             }
             let form = self.select(&mnemonic, &ops);
-            let size = match (mnemonic.as_str(), form) {
+            let size = match (&*mnemonic, form) {
                 ("li" | "la", _) => 8,
                 (_, Some(f)) => u32::from(f.len()),
                 (_, None) => 4,
@@ -179,7 +268,8 @@ impl Assembler {
         &mut self,
         line: usize,
         name: &str,
-        ops: &[String],
+        ops: &Operands<'a>,
+        args: &'a str,
         pc: Option<u32>,
     ) -> Result<Option<u32>, SimError> {
         match name {
@@ -196,12 +286,13 @@ impl Assembler {
                 if ops.len() != 2 {
                     return Err(err(line, ".equ needs NAME, VALUE"));
                 }
-                let value = self.eval(line, &ops[1])?;
-                if !is_ident(&ops[0]) {
-                    return Err(err(line, format!("invalid .equ name `{}`", ops[0])));
+                let (name, value) = (ops.first[0], ops.first[1]);
+                let value = self.eval(line, value)?;
+                if !is_ident(name) {
+                    return Err(err(line, format!("invalid .equ name `{name}`")));
                 }
-                if self.symbols.insert(ops[0].clone(), value).is_some() {
-                    return Err(err(line, format!("duplicate symbol `{}`", ops[0])));
+                if self.symbols.insert(name.to_string(), value).is_some() {
+                    return Err(err(line, format!("duplicate symbol `{name}`")));
                 }
                 Ok(pc)
             }
@@ -232,7 +323,7 @@ impl Assembler {
                     "half" => 2,
                     _ => 1,
                 };
-                if ops.is_empty() {
+                if ops.len() == 0 {
                     return Err(err(line, format!(".{name} needs at least one value")));
                 }
                 let len = ops.len() as u32 * u32::from(width);
@@ -240,7 +331,7 @@ impl Assembler {
                     line,
                     pc: here,
                     width,
-                    exprs: ops.to_vec(),
+                    args,
                 });
                 Ok(Some(here + len))
             }
@@ -263,11 +354,11 @@ impl Assembler {
     /// tied operands are spelled alike, a 16-bit form's immediates are
     /// pass-1-resolvable literals in range — else the mnemonic's last form,
     /// whose pass-2 parse then reports what is wrong.
-    fn select(&self, mnemonic: &str, ops: &[String]) -> Option<&'static Form> {
+    fn select(&self, mnemonic: &str, ops: &Operands<'_>) -> Option<&'static Form> {
         let forms = forms::named(mnemonic);
         let fits = |form: &Form| {
             let short = form.len() == 2;
-            let mut text = ops.iter().map(String::as_str);
+            let mut text = ops.iter();
             let mut seen = [""; 4];
             let mut mem = None;
             ops.len() == form.arity()
@@ -304,8 +395,7 @@ impl Assembler {
     }
 
     fn pass2(mut self) -> Result<Image, SimError> {
-        // Build section extents.
-        let mut writes: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut writes: Vec<(u32, Chunk)> = Vec::with_capacity(self.items.len());
         let items = std::mem::take(&mut self.items);
         for item in &items {
             match item {
@@ -316,17 +406,17 @@ impl Assembler {
                     ops,
                     form,
                 } => {
-                    let bytes = self.code(*line, *pc, mnemonic, ops, *form)?;
-                    writes.push((*pc, bytes));
+                    let code = self.code(*line, *pc, mnemonic, ops, *form)?;
+                    writes.push((*pc, Chunk::Code(code)));
                 }
                 Item::Data {
                     line,
                     pc,
                     width,
-                    exprs,
+                    args,
                 } => {
                     let mut bytes = Vec::new();
-                    for e in exprs {
+                    for e in split_operands(args) {
                         let v = self.eval(*line, e)?;
                         // `.half`/`.byte` take a signed or unsigned value of their width.
                         let bits = u32::from(*width) * 8;
@@ -335,28 +425,32 @@ impl Assembler {
                         }
                         bytes.extend_from_slice(&v.to_le_bytes()[..usize::from(*width)]);
                     }
-                    writes.push((*pc, bytes));
+                    writes.push((*pc, Chunk::Data(bytes)));
                 }
                 Item::Space { pc, len } | Item::Pad { pc, len } => {
-                    writes.push((*pc, vec![0u8; *len as usize]));
+                    writes.push((*pc, Chunk::Zeros(*len)));
                 }
             }
         }
         // Merge writes into contiguous sections.
         writes.sort_by_key(|&(pc, _)| pc);
         let mut sections: Vec<Section> = Vec::new();
-        for (pc, bytes) in writes {
-            if bytes.is_empty() {
+        for (pc, chunk) in writes {
+            if chunk.len() == 0 {
                 continue;
             }
             match sections.last_mut() {
                 Some(s) if s.base.0 as u64 + s.bytes.len() as u64 == u64::from(pc) => {
-                    s.bytes.extend_from_slice(&bytes);
+                    chunk.append_to(&mut s.bytes);
                 }
-                _ => sections.push(Section {
-                    base: Addr(pc),
-                    bytes,
-                }),
+                _ => {
+                    let mut bytes = Vec::new();
+                    chunk.append_to(&mut bytes);
+                    sections.push(Section {
+                        base: Addr(pc),
+                        bytes,
+                    });
+                }
             }
         }
         Ok(Image::from_parts(sections, self.symbols))
@@ -366,16 +460,17 @@ impl Assembler {
     // Instruction construction (pass 2)
     // ------------------------------------------------------------------
 
-    /// The bytes of one source line: the `li`/`la` pseudo's two 32-bit
-    /// instructions, or the operands packed into the form pass 1 chose.
+    /// The machine code of one source line: the `li`/`la` pseudo's two
+    /// 32-bit instructions, or the operands packed into the form pass 1
+    /// chose.
     fn code(
         &self,
         line: usize,
         pc: u32,
         m: &str,
-        ops: &[String],
+        ops: &Operands<'_>,
         form: Option<&Form>,
-    ) -> Result<Vec<u8>, SimError> {
+    ) -> Result<LineCode, SimError> {
         if m == "li" || m == "la" {
             if ops.len() != 2 {
                 return Err(err(
@@ -383,9 +478,9 @@ impl Assembler {
                     format!("`{m}` expects 2 operands, got {}", ops.len()),
                 ));
             }
-            let v = self.eval(line, &ops[1])?;
+            let v = self.eval(line, ops.first[1])?;
             let (hi, lo) = if m == "li" {
-                let rd = self.register(line, Kind::D, &ops[0])?;
+                let rd = self.register(line, Kind::D, ops.first[0])?;
                 let rd = DReg(rd as u8);
                 (
                     Instr::MovH {
@@ -395,12 +490,12 @@ impl Assembler {
                     Instr::OrIL { rd, imm: v as u16 },
                 )
             } else {
-                let ad = AReg(self.register(line, Kind::A, &ops[0])? as u8);
+                let ad = AReg(self.register(line, Kind::A, ops.first[0])? as u8);
                 let lo = v as u16 as i16;
                 let hi = (v.wrapping_sub(lo as i32 as u32) >> 16) as u16;
                 (Instr::MovHA { ad, imm: hi }, Instr::AddIA { ad, imm: lo })
             };
-            return Ok([encode(&hi).bytes, encode(&lo).bytes].concat());
+            return Ok(LineCode::pair(encode(&hi), encode(&lo)));
         }
         let form = form.ok_or_else(|| err(line, format!("unknown mnemonic `{m}`")))?;
         if ops.len() != form.arity() {
@@ -414,7 +509,7 @@ impl Assembler {
         let mut mem = None;
         for (i, &(kind, field)) in form.shape.iter().enumerate() {
             let t = if kind.takes_text() {
-                text.next().map_or("", String::as_str)
+                text.next().unwrap_or("")
             } else {
                 ""
             };
@@ -448,7 +543,7 @@ impl Assembler {
                 }
             };
         }
-        Ok(form.encode(&values).as_bytes().to_vec())
+        Ok(form.encode(&values).into())
     }
 
     fn register(&self, line: usize, kind: Kind, t: &str) -> Result<i32, SimError> {
@@ -491,19 +586,18 @@ impl Assembler {
     }
 
     fn csfr_num(&self, line: usize, s: &str) -> Result<i32, SimError> {
-        let named = match s.to_ascii_lowercase().as_str() {
-            "psw" => Some(Csfr::Psw),
-            "icr" => Some(Csfr::Icr),
-            "biv" => Some(Csfr::Biv),
-            "btv" => Some(Csfr::Btv),
-            "fcx" => Some(Csfr::Fcx),
-            "pcx" => Some(Csfr::Pcx),
-            "core_id" => Some(Csfr::CoreId),
-            "syscon" => Some(Csfr::Syscon),
-            _ => None,
-        };
-        match named {
-            Some(c) => Ok(c as i32),
+        const NAMED: [(&str, Csfr); 8] = [
+            ("psw", Csfr::Psw),
+            ("icr", Csfr::Icr),
+            ("biv", Csfr::Biv),
+            ("btv", Csfr::Btv),
+            ("fcx", Csfr::Fcx),
+            ("pcx", Csfr::Pcx),
+            ("core_id", Csfr::CoreId),
+            ("syscon", Csfr::Syscon),
+        ];
+        match NAMED.iter().find(|(name, _)| s.eq_ignore_ascii_case(name)) {
+            Some(&(_, c)) => Ok(c as i32),
             None => self.imm(line, forms::U12, s),
         }
     }
@@ -534,6 +628,11 @@ fn is_ident(s: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
 }
 
+/// A line up to its first `;` or `#` comment.
+fn strip_comment(line: &str) -> &str {
+    line.find([';', '#']).map_or(line, |p| &line[..p])
+}
+
 fn split_mnemonic(line: &str) -> (&str, &str) {
     match line.find(char::is_whitespace) {
         Some(i) => (&line[..i], line[i..].trim()),
@@ -541,32 +640,75 @@ fn split_mnemonic(line: &str) -> (&str, &str) {
     }
 }
 
-/// Splits an operand list on commas that are not inside brackets.
-fn split_operands(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '[' | '(' => {
-                depth += 1;
-                cur.push(c);
+/// A mnemonic or directive in lower case, with `dbg` spelled `debug`;
+/// borrowed unless it had to be lowered.
+fn normalise(m: &str) -> Cow<'_, str> {
+    if m.eq_ignore_ascii_case("dbg") {
+        Cow::Borrowed("debug")
+    } else if m.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(m.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(m)
+    }
+}
+
+/// Splits an operand list on commas that are not inside brackets, trims
+/// each operand and drops an empty last one.
+fn split_operands(s: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let r = rest?;
+        let mut depth = 0usize;
+        for (i, b) in r.bytes().enumerate() {
+            match b {
+                b'[' | b'(' => depth += 1,
+                b']' | b')' => depth = depth.saturating_sub(1),
+                b',' if depth == 0 => {
+                    rest = Some(&r[i + 1..]);
+                    return Some(r[..i].trim());
+                }
+                _ => {}
             }
-            ']' | ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            ',' if depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => cur.push(c),
         }
+        rest = None;
+        Some(r.trim()).filter(|last| !last.is_empty())
+    })
+}
+
+/// A line's operands, borrowed from the source: the first four (as many
+/// as any instruction takes) and how many there are in all.
+#[derive(Debug, Clone, Copy)]
+struct Operands<'a> {
+    first: [&'a str; 4],
+    len: usize,
+}
+
+impl<'a> Operands<'a> {
+    fn parse(args: &'a str) -> Operands<'a> {
+        let mut ops = Operands {
+            first: [""; 4],
+            len: 0,
+        };
+        for op in split_operands(args) {
+            if let Some(slot) = ops.first.get_mut(ops.len) {
+                *slot = op;
+            }
+            ops.len += 1;
+        }
+        ops
     }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
+
+    fn len(&self) -> usize {
+        self.len
     }
-    out
+
+    fn first(&self) -> Option<&'a str> {
+        (self.len > 0).then_some(self.first[0])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &'a str> {
+        self.first.into_iter().take(self.len)
+    }
 }
 
 fn dreg(s: &str) -> Option<DReg> {
@@ -740,19 +882,29 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text: String = std::str::from_utf8(&self.s[digits_start..self.pos])
-            .map_err(|_| "bad number")?
-            .chars()
-            .filter(|&c| c != '_')
-            .collect();
-        i64::from_str_radix(&text, radix)
-            .map(|v| v as u32)
-            .map_err(|_| {
-                format!(
-                    "bad number `{}`",
-                    String::from_utf8_lossy(&self.s[start..self.pos])
-                )
-            })
+        // `_` separates digits; the rest must be digits of the radix and
+        // the value must fit an `i64` (then truncates to 32 bits).
+        let mut value: Option<i64> = None;
+        for &c in &self.s[digits_start..self.pos] {
+            if c == b'_' {
+                continue;
+            }
+            let so_far = value.unwrap_or(0);
+            value = char::from(c).to_digit(radix).and_then(|d| {
+                so_far
+                    .checked_mul(i64::from(radix))?
+                    .checked_add(i64::from(d))
+            });
+            if value.is_none() {
+                break;
+            }
+        }
+        value.map(|v| v as u32).ok_or_else(|| {
+            format!(
+                "bad number `{}`",
+                String::from_utf8_lossy(&self.s[start..self.pos])
+            )
+        })
     }
 
     fn ident_or_func(&mut self) -> Result<u32, String> {
@@ -1062,6 +1214,21 @@ mod tests {
         assert!(e.to_string().contains("duplicate"), "{e}");
         let e = assemble(".org 0\naddi d0, d1, 5000").unwrap_err();
         assert!(e.to_string().contains("12-bit"), "{e}");
+    }
+
+    #[test]
+    fn number_literals() {
+        let syms = BTreeMap::new();
+        let ok = |s: &str| eval_expr(s, &syms).unwrap();
+        assert_eq!(ok("0x1_F"), 31);
+        assert_eq!(ok("1__0"), 10);
+        assert_eq!(ok("0B101"), 5);
+        assert_eq!(ok("0x1_0000_0001"), 1, "truncates to 32 bits");
+        assert_eq!(ok("9223372036854775807"), u32::MAX);
+        for bad in ["0x", "0x_", "0b102", "12ab", "9223372036854775808"] {
+            let e = eval_expr(bad, &syms).unwrap_err();
+            assert_eq!(e, format!("bad number `{bad}`"));
+        }
     }
 
     #[test]

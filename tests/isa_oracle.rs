@@ -18,8 +18,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use audo_common::Addr;
-use audo_tricore::asm::assemble;
+use audo_common::{Addr, SimError};
+use audo_tricore::asm::{assemble, assemble_instr};
 use audo_tricore::disasm::format_instr;
 use audo_tricore::encode::{decode, encode_sized};
 use audo_tricore::opcodes::{sample_instr, ASSIGNED};
@@ -266,4 +266,93 @@ fn decoder_answers_match_the_pinned_oracle() {
     let golden =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/isa_oracle_decode.txt");
     audo_common::golden::check(&golden, &decode_digest());
+}
+
+/// Lines beyond the oracle rows: pseudos, spelling variants, comments
+/// and the errors a line can raise.
+const EXTRA_LINES: &[&str] = &[
+    "li d0, 0x12345678",
+    "LA a2, 0xD0008000",
+    "Dbg 3",
+    "MOVI D1, -5 ; comment",
+    "mfcr d0, ICR",
+    "ld.w d1, [a2+]4",
+    "ld.w d1, [a2+0x1_0]",
+    "bogus d0",
+    "addi d0, d1, 5000",
+    "movi d0",
+    "movi d0, 1, 2, 3, 4, 5",
+    "add d0, d1, d2,",
+    "st.w d1, [a2+]",
+    "ld.a a1, [a2+]4",
+    "jz d0, 0x80000001",
+    "j 0x90000000",
+    "movi d0, 0x",
+    "movi d0, 99999999999999999999",
+    "shi d1, d2, 32",
+    "debug 16",
+    ".word 1",
+    "",
+];
+
+/// What `assemble_instr` gives for `text` at `pc`, and what `assemble`
+/// puts at `pc` for the same line behind an `.org`, as comparable text.
+fn both_paths(text: &str, pc: Addr) -> (String, String) {
+    let line = match assemble_instr(text, pc) {
+        Ok(code) => hex(code.as_bytes()),
+        Err(SimError::Assemble { message, .. }) => format!("error: {message}"),
+        Err(e) => format!("unexpected error: {e}"),
+    };
+    let whole = match assemble(&format!(".org {:#x}\n{text}\n", pc.0)) {
+        Ok(img) => img
+            .sections()
+            .first()
+            .map_or(String::new(), |s| hex(&s.bytes)),
+        Err(SimError::Assemble { message, .. }) => format!("error: {message}"),
+        Err(e) => format!("unexpected error: {e}"),
+    };
+    (line, whole)
+}
+
+/// `assemble_instr` is the line path of `assemble`: for every `(pc,
+/// text)` row of the pinned oracle, and for a few extra lines, it gives
+/// the bytes `assemble` puts at `pc` or the same error message.
+#[test]
+fn assemble_instr_matches_assemble_on_every_oracle_row() {
+    let golden = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/isa_oracle.txt"),
+    )
+    .expect("isa_oracle.txt");
+    let mut rows = 0;
+    for line in golden.lines() {
+        let mut fields = line.split(" | ");
+        let (Some(head), Some(text)) = (fields.next(), fields.next()) else {
+            continue;
+        };
+        let Some(pc) = head
+            .split_whitespace()
+            .nth(1)
+            .and_then(|t| t.strip_prefix("0x"))
+        else {
+            continue;
+        };
+        let pc = Addr(u32::from_str_radix(pc, 16).expect("hex pc"));
+        let (line, whole) = both_paths(text, pc);
+        assert_eq!(line, whole, "`{text}` at {pc}");
+        rows += 1;
+    }
+    assert!(rows > 700, "only {rows} oracle rows parsed");
+    for text in EXTRA_LINES {
+        for pc in [PC, Addr(PC.0 + 4)] {
+            let (line, whole) = both_paths(text, pc);
+            if text.starts_with('.') || text.is_empty() {
+                // Directives and empty lines are not instructions.
+                assert!(line.starts_with("error"), "`{text}`: {line}");
+            } else {
+                assert_eq!(line, whole, "`{text}` at {pc}");
+            }
+        }
+    }
+    let odd = assemble_instr("nop", Addr(PC.0 + 1)).unwrap_err();
+    assert!(odd.to_string().contains("odd address"), "{odd}");
 }

@@ -75,10 +75,11 @@ pub fn disassemble_range(image: &Image, start: Addr, len: u32) -> Vec<ListingLin
     let mut pc = start;
     let end = start.0.saturating_add(len);
     while pc.0 < end {
-        let Some(bytes) = image.bytes_at(pc, 4).or_else(|| image.bytes_at(pc, 2)) else {
+        let Some((word, avail)) = fetch(image, pc) else {
             break;
         };
-        match crate::encode::decode(&bytes, pc) {
+        let bytes = &word[..avail];
+        match crate::encode::decode(bytes, pc) {
             Ok((instr, ilen)) => {
                 out.push(ListingLine {
                     addr: pc,
@@ -88,24 +89,49 @@ pub fn disassemble_range(image: &Image, start: Addr, len: u32) -> Vec<ListingLin
                 pc = pc.offset(u32::from(ilen));
             }
             Err(_) => {
-                let text = if bytes.len() >= 4 {
-                    format!(
-                        ".word {:#010x}",
-                        u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
-                    )
+                let text = if avail == 4 {
+                    format!(".word {:#010x}", u32::from_le_bytes(word))
                 } else {
-                    format!(".half {:#06x}", u16::from_le_bytes([bytes[0], bytes[1]]))
+                    format!(".half {:#06x}", u16::from_le_bytes([word[0], word[1]]))
                 };
                 out.push(ListingLine {
                     addr: pc,
                     instr: None,
                     text,
                 });
-                pc = pc.offset(if bytes.len() >= 4 { 4 } else { 2 });
+                pc = pc.offset(avail as u32);
             }
         }
     }
     out
+}
+
+/// The bytes an instruction at `pc` can take: four when the image holds
+/// them all, else two, else `None`. They come from the slice of the
+/// section holding `pc`; only near its end are the following bytes looked
+/// up in whichever section holds them, so an instruction may run across
+/// two adjacent sections that were not merged.
+fn fetch(image: &Image, pc: Addr) -> Option<([u8; 4], usize)> {
+    let section = image
+        .sections()
+        .iter()
+        .find(|s| pc.in_range(s.base, s.bytes.len() as u32))?;
+    let tail = &section.bytes[(pc.0 - section.base.0) as usize..];
+    let mut word = [0; 4];
+    let mut n = tail.len().min(4);
+    word[..n].copy_from_slice(&tail[..n]);
+    while n < 4 {
+        let Some(b) = image.byte_at(pc.offset(n as u32)) else {
+            break;
+        };
+        word[n] = b;
+        n += 1;
+    }
+    match n {
+        4 => Some((word, 4)),
+        2 | 3 => Some((word, 2)),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +184,33 @@ mod tests {
         }
         let img2 = assemble(&src2).unwrap();
         assert_eq!(img1.sections()[0].bytes, img2.sections()[0].bytes);
+    }
+
+    #[test]
+    fn instructions_run_across_adjacent_unmerged_sections() {
+        use crate::image::Section;
+        // `movi d0, 7` split over two sections that meet at 0x1002, then
+        // a lone halfword of a 32-bit instruction at the end.
+        let movi = assemble(".org 0x1000\n movi d0, 7\n").unwrap().sections()[0]
+            .bytes
+            .clone();
+        let img = Image::from_parts(
+            vec![
+                Section {
+                    base: Addr(0x1000),
+                    bytes: movi[..2].to_vec(),
+                },
+                Section {
+                    base: Addr(0x1002),
+                    bytes: [&movi[2..], &movi[..2]].concat(),
+                },
+            ],
+            std::collections::BTreeMap::new(),
+        );
+        let listing = disassemble_range(&img, Addr(0x1000), 6);
+        let texts: Vec<&str> = listing.iter().map(|l| l.text.as_str()).collect();
+        assert_eq!(texts, ["movi d0, 7", ".half 0x0021"]);
+        assert_eq!(listing[1].addr, Addr(0x1004));
     }
 
     #[test]

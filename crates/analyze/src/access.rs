@@ -96,8 +96,7 @@ mod tests {
     use audo_tricore::asm::assemble;
 
     fn accesses(src: &str) -> Vec<MemAccess> {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
-        let sol = crate::constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&assemble(src).expect("test source assembles"));
         extract(&g, &sol, &SocConfig::tc1797())
     }
 

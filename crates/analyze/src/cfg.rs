@@ -373,9 +373,31 @@ fn build_blocks(
 ///
 /// Iterates recursive descent and constant propagation until no new
 /// indirect-branch targets or interrupt vectors appear (bounded at 8
-/// rounds; real images converge in 2–3).
+/// rounds; real images converge in 2–3). Use [`recover_solved`] when the
+/// constant-propagation solution of the graph is needed too.
 #[must_use]
 pub fn recover(image: &Image) -> Cfg {
+    recover_rounds(image).0
+}
+
+/// Recovers the CFG of `image` together with its constant-propagation
+/// solution: the one the last recovery round converged on, so the graph
+/// is solved once, not once more by the caller.
+#[must_use]
+pub fn recover_solved(image: &Image) -> (Cfg, constprop::Solution) {
+    match recover_rounds(image) {
+        (cfg, Some(sol)) => (cfg, sol),
+        // Bounded out before solving its final graph.
+        (cfg, None) => {
+            let sol = constprop::solve(&cfg);
+            (cfg, sol)
+        }
+    }
+}
+
+/// The recovery loop of [`recover`]: the graph, and its solution unless
+/// the round bound stopped the loop before solving the final graph.
+fn recover_rounds(image: &Image) -> (Cfg, Option<constprop::Solution>) {
     let mut roots: Vec<(u32, String)> = vec![(image.entry().0, "entry".to_string())];
     let mut resolved: BTreeMap<u32, u32> = BTreeMap::new();
     let mut biv: Option<u32> = None;
@@ -403,7 +425,7 @@ pub fn recover(image: &Image) -> Cfg {
         };
         // Bounded out: keep whatever the earlier rounds discovered.
         if round == 8 {
-            return cfg;
+            return (cfg, None);
         }
         round += 1;
         let sol = constprop::solve(&cfg);
@@ -452,7 +474,7 @@ pub fn recover(image: &Image) -> Cfg {
             }
         }
         if !changed {
-            return cfg;
+            return (cfg, Some(sol));
         }
     }
 }

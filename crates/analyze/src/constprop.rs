@@ -254,9 +254,7 @@ mod tests {
     use audo_tricore::asm::assemble;
 
     fn solved(src: &str) -> (crate::cfg::Cfg, Solution) {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
-        let sol = solve(&g);
-        (g, sol)
+        cfg::recover_solved(&assemble(src).expect("test source assembles"))
     }
 
     #[test]

@@ -81,8 +81,7 @@ impl Analysis {
 /// [`MasterRanges::empty`] for a CPU-only view).
 #[must_use]
 pub fn analyze(image: &Image, soc: &SocConfig, masters: &MasterRanges, name: &str) -> Analysis {
-    let graph = cfg::recover(image);
-    let sol = constprop::solve(&graph);
+    let (graph, sol) = cfg::recover_solved(image);
     let accesses = access::extract(&graph, &sol, soc);
     let adj = graph.adjacency();
 

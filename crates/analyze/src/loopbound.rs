@@ -417,12 +417,11 @@ fn peel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cfg, constprop};
+    use crate::cfg;
     use audo_tricore::asm::assemble;
 
     fn forest(src: &str) -> Vec<LoopInfo> {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
-        let sol = constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&assemble(src).expect("test source assembles"));
         let adj = flow_adjacency(&g);
         loop_forest(&g, &sol, &adj, &cfg::predecessors(&adj))
     }

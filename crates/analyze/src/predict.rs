@@ -492,13 +492,11 @@ pub fn render_check(image: &str, rows: &[CheckRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constprop;
     use audo_tricore::asm::assemble;
     use audo_tricore::isa::{AReg, DReg};
 
     fn predicted(src: &str) -> Prediction {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
-        let sol = constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&assemble(src).expect("test source assembles"));
         predict(&g, &g.adjacency(), &sol, &SocConfig::tc1797())
     }
 
@@ -702,16 +700,14 @@ bg:
     /// Finds the unique self-looping block of `src` and returns its
     /// inferred trip count.
     fn trip_of(src: &str) -> Option<u64> {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
-        let sol = constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&assemble(src).expect("test source assembles"));
         let preds = cfg::predecessors(&g.adjacency());
         self_loop_weight(&g, &sol, &preds, self_loop_of(&g))
     }
 
     /// The steady-state weights of `src` and its self-looping block.
     fn steady_of(src: &str) -> (BTreeMap<u32, u64>, u32) {
-        let g = cfg::recover(&assemble(src).expect("test source assembles"));
-        let sol = constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&assemble(src).expect("test source assembles"));
         let adj = g.adjacency();
         let preds = cfg::predecessors(&adj);
         (steady_set(&g, &adj, &preds, &sol), self_loop_of(&g))

@@ -793,14 +793,13 @@ pub fn render_check(image: &str, check: &ProfileCheck) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cfg, constprop};
+    use crate::cfg;
     use audo_tricore::asm::assemble;
     use audo_tricore::pipeline::CoreConfig;
 
     fn report(src: &str) -> WcetReport {
         let image = assemble(src).expect("test source assembles");
-        let g = cfg::recover(&image);
-        let sol = constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&image);
         let model = CostModel::new(CoreConfig::default(), soc_mem_costs(&SocConfig::tc1797()));
         analyze_wcet(&g, &sol, &model, 48, "test")
     }
@@ -932,8 +931,7 @@ f:
         }
         src.push_str("f60:\n    ret\n");
         let image = assemble(&src).expect("assembles");
-        let g = cfg::recover(&image);
-        let sol = constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&image);
         let model = CostModel::new(CoreConfig::default(), soc_mem_costs(&SocConfig::tc1797()));
         let r = analyze_wcet(&g, &sol, &model, 48, "deep");
         assert_eq!(r.program_csa, Bound::Finite(61));
@@ -993,8 +991,7 @@ _start:
         src.push_str("    call leaf\n    halt\nleaf:\n    ret\n");
         let r = report(&src);
         assert!(r.program_csa.finite().is_none(), "{:?}", r.program_csa);
-        let g = cfg::recover(&assemble(&src).expect("assembles"));
-        let sol = constprop::solve(&g);
+        let (g, sol) = cfg::recover_solved(&assemble(&src).expect("assembles"));
         assert!(program_csa_bound(&g, &sol).finite().is_none());
     }
 

@@ -14,7 +14,7 @@
 //! GOLDEN_REGEN=1 cargo test --test wcet_soundness
 //! ```
 
-use audo_analyze::{cfg, constprop, wcet};
+use audo_analyze::{cfg, wcet};
 use audo_asm::{default_corpus_dir, load_corpus, Tiers};
 use audo_bench::run_jobs;
 use audo_common::{Addr, Cycle, EventSink, SourceId};
@@ -36,8 +36,7 @@ fn fuzz_tier_bus(image: &Image) -> Option<TestBus> {
 }
 
 fn analyze_image(image: &Image, name: &str) -> (cfg::Cfg, wcet::WcetReport, CostModel) {
-    let g = cfg::recover(image);
-    let sol = constprop::solve(&g);
+    let (g, sol) = cfg::recover_solved(image);
     let model = CostModel::new(
         CoreConfig::default(),
         MemCosts::of_test_bus(&TestBus::new()),
@@ -188,8 +187,7 @@ fn engine_wcet_report_matches_golden() {
 
     let w = engine_control(&EngineParams::default());
     let soc_cfg = SocConfig::tc1797();
-    let g = cfg::recover(&w.image);
-    let sol = constprop::solve(&g);
+    let (g, sol) = cfg::recover_solved(&w.image);
     let model = CostModel::new(soc_cfg.cpu.clone(), wcet::soc_mem_costs(&soc_cfg));
     let report = wcet::analyze_wcet(&g, &sol, &model, CSA_AREAS, &w.name);
     let actual = wcet::render_report(&report);

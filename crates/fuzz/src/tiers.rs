@@ -16,11 +16,19 @@
 //!   functional model has no notion of.)
 //! * statically: every decodable instruction in the image must
 //!   round-trip `disassemble → assemble → decode` to the same
-//!   instruction (the encoder/disassembler differential).
+//!   instruction (the encoder/disassembler differential). Each listing
+//!   line is assembled on its own at its address
+//!   ([`assemble_instr`]) and the bytes it gives are decoded.
 //! * optionally ([`CheckOptions::check_wcet`]): the static WCET/CSA
-//!   bounds from `audo-analyze` against a profiled pipeline run — a
-//!   measured count above a static bound is a timing-model bug, handled
-//!   exactly like any other divergence.
+//!   bounds from `audo-analyze` against the profile of the cached
+//!   pipeline run — the same run that is diffed against the uncached
+//!   pipeline, with block profiling on. A measured count above a static
+//!   bound is a timing-model bug, handled exactly like any other
+//!   divergence.
+//!
+//! Each piece of work is done once per program: one disassembly, one
+//! line assembly and decode per instruction, one run per tier, one CFG
+//! recovery and constant propagation.
 //!
 //! A program on which the golden model itself faults (unmapped store,
 //! retire-budget blowout, CSA exhaustion...) is not a divergence as
@@ -28,17 +36,24 @@
 //! pipeline is skipped for such programs, mirroring how the repo treats
 //! guest faults elsewhere.
 
+use std::collections::BTreeMap;
+
+use audo_analyze::cfg::{self, Cfg};
+use audo_analyze::constprop::Solution;
+use audo_analyze::wcet;
 use audo_common::events::StallReason;
 use audo_common::{Addr, Cycle, EventRecord, EventSink, SimError, SourceId};
 use audo_mcds::select::{EventClass, EventSelector};
 use audo_mcds::{decode_stream, Basis, Mcds, RateProbe};
+use audo_obs::profile::BlockProfile;
 use audo_tricore::arch::init_csa_list;
-use audo_tricore::asm::assemble;
+use audo_tricore::asm::{assemble, assemble_instr};
 use audo_tricore::bus::TestBus;
 use audo_tricore::disasm::disassemble_range;
 use audo_tricore::encode::decode;
 use audo_tricore::iss::Iss;
 use audo_tricore::opcodes::{opcode_name, OPCODE_SPACE};
+use audo_tricore::pipeline::{CostModel, MemCosts};
 use audo_tricore::{ArchState, Core, CoreConfig, Image};
 
 use audo_asm::Tiers;
@@ -151,9 +166,26 @@ struct PipeOut {
     a: [u32; 16],
     events: Vec<EventRecord>,
     stall_cycles: [u64; StallReason::COUNT],
+    /// What the WCET check measures, when the run was profiled.
+    profiled: Option<Profiled>,
 }
 
-fn pipe_exec(image: &Image, fast: bool, max_cycles: u64) -> PipeOut {
+/// The measured side of the WCET check, taken from one profiled run.
+struct Profiled {
+    profile: BlockProfile,
+    /// Region write generations after the load, before the first cycle
+    /// ([`wcet::code_stamps`]).
+    stamps: BTreeMap<u32, u64>,
+    mem: MemCosts,
+    /// Retire plus stall cycles: the run's accounted total.
+    total_cycles: u64,
+    csa_peak: u32,
+}
+
+/// Runs the pipeline on `image`. With `profile_for` a recovered graph of
+/// the image, block profiling is on and the run also yields what the WCET
+/// check measures, its code stamps keyed by that graph's blocks.
+fn pipe_exec(image: &Image, fast: bool, max_cycles: u64, profile_for: Option<&Cfg>) -> PipeOut {
     let mut bus = TestBus::new();
     for &(base, len) in REGIONS {
         bus.mem.add_region(Addr(base), len);
@@ -166,6 +198,7 @@ fn pipe_exec(image: &Image, fast: bool, max_cycles: u64) -> PipeOut {
         a: [0; 16],
         events: Vec::new(),
         stall_cycles: [0; StallReason::COUNT],
+        profiled: None,
     };
     if let Err(e) = image.load_into(&mut bus.mem) {
         out.err = Some(e);
@@ -173,6 +206,7 @@ fn pipe_exec(image: &Image, fast: bool, max_cycles: u64) -> PipeOut {
     }
     let mut core = Core::new(CoreConfig::default(), image.entry(), SourceId::TRICORE);
     core.set_fast_path(fast);
+    core.set_profile_observation(profile_for.is_some());
     match init_csa_list(&mut bus.mem, Addr(CSA_BASE), CSA_FRAMES) {
         Ok(fcx) => core.arch_mut().fcx = fcx,
         Err(e) => {
@@ -180,6 +214,8 @@ fn pipe_exec(image: &Image, fast: bool, max_cycles: u64) -> PipeOut {
             return out;
         }
     }
+    // Stamps after every load-time store, before the first guest cycle.
+    let stamps = profile_for.map(|g| wcet::code_stamps(g, &bus));
     let mut sink = EventSink::new();
     let mut cyc = 0u64;
     while !core.is_halted() && cyc < max_cycles {
@@ -195,73 +231,43 @@ fn pipe_exec(image: &Image, fast: bool, max_cycles: u64) -> PipeOut {
     out.retired = core.retired_total();
     out.d = core.arch().d;
     out.a = core.arch().a;
-    out.stall_cycles = core.stats().stall_cycles;
+    let stats = core.stats();
+    out.stall_cycles = stats.stall_cycles;
+    out.profiled = match (stamps, core.block_profile()) {
+        (Some(stamps), Some(profile)) => Some(Profiled {
+            profile: profile.clone(),
+            stamps,
+            mem: MemCosts::of_test_bus(&bus),
+            total_cycles: stats.retire_cycles + stats.stall_total(),
+            csa_peak: core.arch().csa_depth_peak,
+        }),
+        _ => None,
+    };
     out
 }
 
-/// Static-WCET soundness differential: recovers the CFG, bounds every
-/// block with the pipeline's exported cost model, reruns the predecoded
-/// pipeline under the block profiler, and reports the first measured
-/// value that exceeds its static bound.
+/// Static-WCET soundness differential: bounds every block of the
+/// recovered graph with the pipeline's exported cost model and reports
+/// the first value measured by the profiled run that exceeds its static
+/// bound.
 ///
-/// Returns `None` for programs the check cannot speak about: the run
-/// faults or fails to halt (already a divergence or an agreed fault in
-/// the main differential), or the profiler is unavailable. Self-modified
-/// and runtime-written code is excluded inside
+/// The caller passes only runs that halted without a fault (anything else
+/// is already a divergence or an agreed fault in the main differential).
+/// Self-modified and runtime-written code is excluded inside
 /// [`audo_analyze::wcet::check_profile`] via region write-generation
 /// stamps, so only image-resident blocks are held to the static bounds.
-fn wcet_divergence(image: &Image, max_cycles: u64) -> Option<String> {
-    use audo_analyze::{cfg, constprop, wcet};
-    use audo_tricore::pipeline::{CostModel, MemCosts};
-
-    let g = cfg::recover(image);
-    let sol = constprop::solve(&g);
-
-    let mut bus = TestBus::new();
-    for &(base, len) in REGIONS {
-        bus.mem.add_region(Addr(base), len);
-    }
-    if image.load_into(&mut bus.mem).is_err() {
-        return None;
-    }
-    let mut core = Core::new(CoreConfig::default(), image.entry(), SourceId::TRICORE);
-    core.set_fast_path(true);
-    core.set_profile_observation(true);
-    match init_csa_list(&mut bus.mem, Addr(CSA_BASE), CSA_FRAMES) {
-        Ok(fcx) => core.arch_mut().fcx = fcx,
-        Err(_) => return None,
-    }
-    // Stamps after every load-time store, before the first guest cycle.
-    let stamps = wcet::code_stamps(&g, &bus);
-
-    let model = CostModel::new(CoreConfig::default(), MemCosts::of_test_bus(&bus));
-    let report = wcet::analyze_wcet(&g, &sol, &model, CSA_FRAMES, "fuzz");
-
-    let mut sink = EventSink::new();
-    sink.set_enabled(false);
-    let mut cyc = 0u64;
-    while !core.is_halted() && cyc < max_cycles {
-        if core.step(Cycle(cyc), &mut bus, None, &mut sink).is_err() {
-            return None;
-        }
-        cyc += 1;
-    }
-    if !core.is_halted() {
-        return None;
-    }
-
-    let profile = core.block_profile().cloned()?;
-    let stats = core.stats();
-    let total_cycles = stats.retire_cycles + stats.stall_total();
+fn wcet_divergence(g: &Cfg, sol: &Solution, run: &Profiled) -> Option<String> {
+    let model = CostModel::new(CoreConfig::default(), run.mem);
+    let report = wcet::analyze_wcet(g, sol, &model, CSA_FRAMES, "fuzz");
     let check = wcet::check_profile(
-        &g,
+        g,
         &model,
         &report,
-        &profile,
-        &stamps,
-        total_cycles,
+        &run.profile,
+        &run.stamps,
+        run.total_cycles,
         0,
-        core.arch().csa_depth_peak,
+        run.csa_peak,
     );
     check.violations.first().map(|v| {
         format!(
@@ -317,37 +323,32 @@ fn diff_streams(tag: &str, a: &[EventRecord], b: &[EventRecord]) -> Option<Strin
 /// Static encoder/disassembler differential: every decodable
 /// instruction must survive `disassemble → assemble → decode`
 /// *semantically* (the re-encoding may legally pick a narrower form, so
-/// bytes are not compared).
+/// bytes are not compared). Each line is assembled alone at its address.
 fn roundtrip_divergence(image: &Image) -> Option<String> {
-    let mut lines = Vec::new();
-    let mut src = String::new();
     for s in image.sections() {
         for line in disassemble_range(image, s.base, s.bytes.len() as u32) {
-            if let Some(instr) = line.instr {
-                src.push_str(&format!(".org {:#x}\n{}\n", line.addr.0, line.text));
-                lines.push((line.addr, line.text, instr));
+            let Some(orig) = line.instr else {
+                continue;
+            };
+            let (addr, text) = (line.addr, line.text);
+            let code = match assemble_instr(&text, addr) {
+                Ok(code) => code,
+                Err(SimError::Assemble { message, .. }) => {
+                    return Some(format!(
+                        "round-trip: `{text}` at {addr} does not reassemble: {message}"
+                    ))
+                }
+                Err(e) => return Some(format!("round-trip: `{text}` at {addr}: {e}")),
+            };
+            match decode(code.as_bytes(), addr) {
+                Ok((back, _)) if back == orig => {}
+                Ok((back, _)) => {
+                    return Some(format!(
+                        "round-trip: `{text}` at {addr} re-decodes as {back:?}, was {orig:?}"
+                    ))
+                }
+                Err(e) => return Some(format!("round-trip: `{text}` at {addr}: {e}")),
             }
-        }
-    }
-    if lines.is_empty() {
-        return None;
-    }
-    let re = match assemble(&src) {
-        Ok(i) => i,
-        Err(e) => return Some(format!("round-trip: disassembly does not reassemble: {e}")),
-    };
-    for (addr, text, orig) in lines {
-        let Some(bytes) = re.bytes_at(addr, 4).or_else(|| re.bytes_at(addr, 2)) else {
-            return Some(format!("round-trip: no bytes at {addr} for `{text}`"));
-        };
-        match decode(&bytes, addr) {
-            Ok((back, _)) if back == orig => {}
-            Ok((back, _)) => {
-                return Some(format!(
-                    "round-trip: `{text}` at {addr} re-decodes as {back:?}, was {orig:?}"
-                ))
-            }
-            Err(e) => return Some(format!("round-trip: `{text}` at {addr}: {e}")),
         }
     }
     None
@@ -455,8 +456,11 @@ pub fn check_image(image: &Image, tiers: Tiers, opts: &CheckOptions) -> TierRepo
     }
 
     let max_cycles = opts.max_instrs.saturating_mul(40).saturating_add(10_000);
-    let pslow = pipe_exec(image, false, max_cycles);
-    let pfast = pipe_exec(image, true, max_cycles);
+    // The WCET check keys the cached run's code stamps by the recovered
+    // graph, so the graph comes first.
+    let graph = opts.check_wcet.then(|| cfg::recover_solved(image));
+    let pslow = pipe_exec(image, false, max_cycles, None);
+    let pfast = pipe_exec(image, true, max_cycles, graph.as_ref().map(|(g, _)| g));
     report.stall_coverage = pslow.stall_cycles;
     for (tag, p) in [("pipeline uncached", &pslow), ("pipeline cached", &pfast)] {
         if let Some(e) = &p.err {
@@ -515,11 +519,10 @@ pub fn check_image(image: &Image, tiers: Tiers, opts: &CheckOptions) -> TierRepo
         return report;
     }
 
-    // All tiers agree; optionally hold the run to the static bounds.
-    if opts.check_wcet {
-        if let Some(msg) = wcet_divergence(image, max_cycles) {
-            report.divergence = Some(msg);
-        }
+    // All tiers agree; optionally hold the cached run to the static
+    // bounds.
+    if let (Some((g, sol)), Some(run)) = (&graph, &pfast.profiled) {
+        report.divergence = wcet_divergence(g, sol, run);
     }
     report
 }

@@ -93,9 +93,10 @@ pub fn encode_sized(instr: &Instr, want_len: u8) -> Encoded {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::DecodeInstr`] if the opcode is unknown or the input
-/// is shorter than the format, and reports `addr` (the caller-supplied PC)
-/// in the error.
+/// Returns [`SimError::DecodeInstr`] if the opcode is unknown, an
+/// immediate lies outside the range the assembler accepts for it (a `shi`
+/// amount outside -32..=31), or the input is shorter than the format, and
+/// reports `addr` (the caller-supplied PC) in the error.
 pub fn decode(bytes: &[u8], addr: Addr) -> Result<(Instr, u8), SimError> {
     let error = |word| SimError::DecodeInstr { addr, word };
     let (word, len) = match *bytes {
@@ -182,6 +183,31 @@ mod tests {
             .len,
             4
         );
+    }
+
+    #[test]
+    fn shi_amounts_outside_the_assembler_range_do_not_decode() {
+        let shi = |imm12: u32| (0x45 | (imm12 << 20)).to_le_bytes();
+        for (imm12, amount) in [(0x01F, 31), (0xFE0, -32), (0xFFF, -1), (0, 0)] {
+            let (instr, _) = decode(&shi(imm12), Addr(0)).expect("in range");
+            assert_eq!(
+                instr,
+                Instr::ShI {
+                    rd: DReg(0),
+                    ra: DReg(0),
+                    amount
+                }
+            );
+        }
+        for imm12 in [0x020, 0xFDF, 0x7FF, 0x800] {
+            assert!(
+                matches!(
+                    decode(&shi(imm12), Addr(8)),
+                    Err(SimError::DecodeInstr { addr: Addr(8), .. })
+                ),
+                "imm12 {imm12:#x}"
+            );
+        }
     }
 
     #[test]

@@ -295,6 +295,17 @@ fn put(slot: u8, shape: Shape, ops: &Ops) -> u32 {
     word
 }
 
+/// Whether every immediate of `ops` lies in its operand's range. Only a
+/// field wider than its range can hold one that does not: the 12-bit
+/// `shi` amount, whose range is -32..=31.
+#[inline(always)]
+fn in_range(shape: Shape, ops: &Ops) -> bool {
+    shape.iter().zip(ops).all(|(&(kind, _), &v)| match kind {
+        Kind::Imm(r) => r.contains(v),
+        _ => true,
+    })
+}
+
 #[inline(always)]
 fn get(shape: Shape, word: u32) -> Ops {
     let mut ops = [0; 4];
@@ -400,12 +411,19 @@ macro_rules! forms {
         }
 
         /// The instruction `word` holds if `slot` (its opcode field) is
-        /// assigned; the caller checks the format bit and length.
+        /// assigned and its immediates lie in their operands' ranges; the
+        /// caller checks the format bit and length.
         // reason: a form without operands never reads its operand iterator.
         #[allow(unused_mut, unused_variables)]
         pub(crate) fn decode_at(slot: u8, word: u32) -> Option<Instr> {
             Some(match slot {
-                $($slot => instr!(get($shape, word), $variant { $($f),* } { $($($fixed: $value),+)? }),)*
+                $($slot => {
+                    let ops = get($shape, word);
+                    if !in_range($shape, &ops) {
+                        return None;
+                    }
+                    instr!(ops, $variant { $($f),* } { $($($fixed: $value),+)? })
+                })*
                 _ => return None,
             })
         }

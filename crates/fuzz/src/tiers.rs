@@ -171,6 +171,7 @@ struct PipeOut {
 }
 
 /// The measured side of the WCET check, taken from one profiled run.
+#[derive(Clone)]
 struct Profiled {
     profile: BlockProfile,
     /// Region write generations after the load, before the first cycle
@@ -606,11 +607,8 @@ mod tests {
         assert_eq!(r.divergence, None);
     }
 
-    #[test]
-    fn the_wcet_check_passes_on_bounded_programs() {
-        // A counted loop plus a call: finite WCET and CSA depth, so the
-        // profiled run must land inside both bounds.
-        let src = "
+    /// A counted loop plus a call: finite WCET and CSA depth.
+    const BOUNDED: &str = "
     .org 0x80000000
 _start:
     li d2, 12
@@ -623,13 +621,46 @@ work:
     addi d5, d5, 3
     ret
 ";
+
+    #[test]
+    fn the_wcet_check_passes_on_bounded_programs() {
+        // The profiled run must land inside both bounds.
         let opts = CheckOptions {
             check_wcet: true,
             ..CheckOptions::default()
         };
-        let r = check_source(src, Tiers::All, &opts).unwrap();
+        let r = check_source(BOUNDED, Tiers::All, &opts).unwrap();
         assert_eq!(r.divergence, None);
         assert!(!r.errored);
+    }
+
+    #[test]
+    fn the_cached_run_is_profiled_and_held_to_the_static_bounds() {
+        let image = assemble(BOUNDED).unwrap();
+        let (g, sol) = cfg::recover_solved(&image);
+        let plain = pipe_exec(&image, true, 1_000_000, None);
+        let run = pipe_exec(&image, true, 1_000_000, Some(&g));
+        assert!(plain.profiled.is_none());
+        // Profiling does not perturb what the differential compares.
+        assert_eq!(
+            (plain.d, plain.a, plain.retired, &plain.events),
+            (run.d, run.a, run.retired, &run.events)
+        );
+        let measured = run.profiled.expect("a run with a graph is profiled");
+        assert_eq!(wcet_divergence(&g, &sol, &measured), None);
+        // The same run, measured above each bound, is a divergence.
+        let too_long = Profiled {
+            total_cycles: u64::MAX,
+            ..measured.clone()
+        };
+        let too_deep = Profiled {
+            csa_peak: u32::MAX,
+            ..measured
+        };
+        for (run, what) in [(too_long, "end-to-end"), (too_deep, "csa-depth")] {
+            let msg = wcet_divergence(&g, &sol, &run).expect("a bound is exceeded");
+            assert!(msg.starts_with(&format!("wcet: measured {what} ")), "{msg}");
+        }
     }
 
     #[test]

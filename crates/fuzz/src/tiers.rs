@@ -664,6 +664,34 @@ work:
     }
 
     #[test]
+    fn check_image_holds_the_run_to_the_static_bounds() {
+        use audo_tricore::image::Section;
+        // Two sections at one base: the analyzer reads the first (a
+        // straight line to `halt`), the loader writes the second last (a
+        // 40-pass loop), so every tier runs far past the static WCET.
+        let straight = assemble(".org 0x80000000\n movi d0, 1\n halt\n").unwrap();
+        let looping =
+            assemble(".org 0x80000000\n li d2, 40\nl:\n addi d2, d2, -1\n jnz d2, l\n halt\n")
+                .unwrap();
+        let image = Image::from_parts(
+            [straight, looping]
+                .iter()
+                .map(|i| i.sections()[0].clone())
+                .collect::<Vec<Section>>(),
+            std::collections::BTreeMap::new(),
+        );
+        let opts = CheckOptions {
+            check_wcet: true,
+            ..CheckOptions::default()
+        };
+        let r = check_image(&image, Tiers::All, &opts);
+        let msg = r.divergence.expect("the run exceeds the static WCET");
+        assert!(msg.starts_with("wcet: measured end-to-end "), "{msg}");
+        let unchecked = check_image(&image, Tiers::All, &CheckOptions::default());
+        assert_eq!(unchecked.divergence, None);
+    }
+
+    #[test]
     fn retire_budget_blowouts_are_agreed_faults() {
         let src = ".org 0x80000000\n_start:\nspin:\n j spin\n";
         let opts = CheckOptions {

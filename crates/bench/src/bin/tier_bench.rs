@@ -44,7 +44,7 @@
 //! Exit status: 0 pass, 1 a gate failed, 2 invalid command line, an
 //! outcome mismatch or a cycle-identity failure.
 
-use audo_bench::harness::{measure, time, BenchDoc};
+use audo_bench::harness::{measure, time, BenchDoc, Stats};
 use audo_bench::{cli, tiers};
 use audo_common::EventSink;
 use audo_ed::{EdConfig, EmulationDevice};
@@ -60,6 +60,11 @@ use audo_workloads::Workload;
 /// Reps per variant: a multiple of every tier's variant count, so every
 /// variant leads a rep equally often.
 const REPS: usize = 24;
+/// Further reps of each block-profiling variant and its uninstrumented
+/// twin, run as a pair after the tier's [`REPS`]: their ratio sits close
+/// to [`OVERHEAD_FLOOR`], so it is read from more pairs than the others.
+/// Even, so each of the two leads equally often.
+const PROFILE_EXTRA_REPS: usize = 40;
 /// Lowest accepted instrumentation overhead: anything faster than its
 /// uninstrumented twin by more than noise is a measurement fault.
 const OVERHEAD_FLOOR: f64 = 0.97;
@@ -202,6 +207,29 @@ fn measure_against(
     Ok(ns)
 }
 
+/// Runs the block-profiling variant `pair[0]` of `names` and its twin
+/// `pair[1]` for [`PROFILE_EXTRA_REPS`] more interleaved reps and appends
+/// their times to `ns`; every run must return `expected`.
+fn profile_reps<O: PartialEq + std::fmt::Debug>(
+    ns: &mut [Vec<u64>],
+    names: &[&str],
+    pair: [&str; 2],
+    expected: &O,
+    mut run: impl FnMut(usize) -> (u64, O),
+) -> Result<(), String> {
+    let at = pair.map(|p| names.iter().position(|n| *n == p).expect("known variant"));
+    let (extra, outcome) = measure(PROFILE_EXTRA_REPS, &pair, |k| run(at[k]))?;
+    if outcome != *expected {
+        return Err(format!(
+            "profile reps returned {outcome:?}, the tier's reps {expected:?}"
+        ));
+    }
+    for (v, samples) in at.into_iter().zip(extra) {
+        ns[v].extend(samples);
+    }
+    Ok(())
+}
+
 /// Records one tier's wall times of one workload, `ns[variant][rep]`: a
 /// row per variant and that tier's gated ratios.
 fn record(
@@ -302,12 +330,24 @@ fn run() -> Result<i32, String> {
     let mut doc = BenchDoc::new("tiers", 1, REPS);
     for w in &workloads {
         let tag = |tier: &'static str| move |e: String| format!("{tier}/{}: {e}", w.name);
-        let (ns, retired) = measure(REPS, &ISS, |v| iss_run(w, v)).map_err(tag("iss"))?;
+        let (mut ns, retired) = measure(REPS, &ISS, |v| iss_run(w, v)).map_err(tag("iss"))?;
+        profile_reps(&mut ns, &ISS, ["fast+profile", "fast"], &retired, |v| {
+            iss_run(w, v)
+        })
+        .map_err(tag("iss"))?;
         record(&mut doc, "iss", w, &ISS, (retired, "instr"), &ns);
 
         let expected = tiers::check_cycle_identity(w)?;
-        let ns = measure_against(&PIPELINE, expected, |v| pipeline_run(w, v))
+        let mut ns = measure_against(&PIPELINE, expected, |v| pipeline_run(w, v))
             .map_err(tag("pipeline"))?;
+        profile_reps(
+            &mut ns,
+            &PIPELINE,
+            ["cached+profile", "cached"],
+            &expected,
+            |v| pipeline_run(w, v),
+        )
+        .map_err(tag("pipeline"))?;
         record(
             &mut doc,
             "pipeline",
@@ -334,17 +374,27 @@ fn run() -> Result<i32, String> {
 
     let mut failed = false;
     for (tier, of, over, band) in &GATES {
-        let ln: Vec<f64> = doc
+        let rows: Vec<&Stats> = doc
             .ratios
             .iter()
             .filter(|r| r.name.starts_with(&format!("{tier}/")) && r.of == *of && r.over == *over)
-            .map(|r| r.value.median.ln())
+            .map(|r| &r.value)
             .collect();
+        let ln: Vec<f64> = rows.iter().map(|r| r.median.ln()).collect();
         let g = (ln.iter().sum::<f64>() / ln.len() as f64).exp();
         let ok = band.admits(g);
         failed |= !ok;
+        // An overhead row's spread says how far its geomean is from the
+        // floor in noise units.
+        let mads = match band {
+            Band::Overhead(_) => {
+                let mads: Vec<String> = rows.iter().map(|r| format!("{:.3}", r.mad)).collect();
+                format!(" (paired-ratio MAD per row: {})", mads.join(" "))
+            }
+            Band::Speedup => String::new(),
+        };
         println!(
-            "gate {tier:<8} {of} / {over} geomean {g:.3}x {}: {}",
+            "gate {tier:<8} {of} / {over} geomean {g:.3}x {}: {}{mads}",
             band.describe(),
             if ok { "ok" } else { "FAILED" }
         );

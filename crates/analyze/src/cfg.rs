@@ -377,7 +377,7 @@ fn build_blocks(
 /// constant-propagation solution of the graph is needed too.
 #[must_use]
 pub fn recover(image: &Image) -> Cfg {
-    recover_rounds(image).0
+    recover_solved(image).0
 }
 
 /// Recovers the CFG of `image` together with its constant-propagation
@@ -385,19 +385,6 @@ pub fn recover(image: &Image) -> Cfg {
 /// is solved once, not once more by the caller.
 #[must_use]
 pub fn recover_solved(image: &Image) -> (Cfg, constprop::Solution) {
-    match recover_rounds(image) {
-        (cfg, Some(sol)) => (cfg, sol),
-        // Bounded out before solving its final graph.
-        (cfg, None) => {
-            let sol = constprop::solve(&cfg);
-            (cfg, sol)
-        }
-    }
-}
-
-/// The recovery loop of [`recover`]: the graph, and its solution unless
-/// the round bound stopped the loop before solving the final graph.
-fn recover_rounds(image: &Image) -> (Cfg, Option<constprop::Solution>) {
     let mut roots: Vec<(u32, String)> = vec![(image.entry().0, "entry".to_string())];
     let mut resolved: BTreeMap<u32, u32> = BTreeMap::new();
     let mut biv: Option<u32> = None;
@@ -423,12 +410,12 @@ fn recover_rounds(image: &Image) -> (Cfg, Option<constprop::Solution>) {
                 .copied()
                 .collect(),
         };
+        let sol = constprop::solve(&cfg);
         // Bounded out: keep whatever the earlier rounds discovered.
         if round == 8 {
-            return (cfg, None);
+            return (cfg, sol);
         }
         round += 1;
-        let sol = constprop::solve(&cfg);
 
         let mut changed = false;
         for block in cfg.blocks.values() {
@@ -474,7 +461,7 @@ fn recover_rounds(image: &Image) -> (Cfg, Option<constprop::Solution>) {
             }
         }
         if !changed {
-            return (cfg, Some(sol));
+            return (cfg, sol);
         }
     }
 }

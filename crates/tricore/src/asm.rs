@@ -68,7 +68,7 @@ pub fn assemble(src: &str) -> Result<Image, SimError> {
 /// defined: the bytes `assemble(".org pc\n" + text)` puts at `pc`, or its
 /// error (reported at line 1). The line takes the same path as a line of
 /// [`assemble`] — mnemonic normalisation, form selection and operand
-/// packing — and allocates nothing on success.
+/// packing — and allocates nothing when a lower-case line assembles.
 ///
 /// `text` is one statement, optionally followed by a comment; labels and
 /// directives are not instructions and are rejected.
@@ -92,7 +92,7 @@ pub fn assemble_instr(text: &str, pc: Addr) -> Result<LineCode, SimError> {
     const LINE: usize = 1;
     let (mnemonic, args) = split_mnemonic(strip_comment(text).trim());
     let mnemonic = normalise(mnemonic);
-    if pc.0 % 2 != 0 {
+    if !pc.0.is_multiple_of(2) {
         return Err(odd_pc(LINE));
     }
     let asm = Assembler::new();
@@ -145,13 +145,15 @@ fn odd_pc(line: usize) -> SimError {
 
 #[derive(Debug)]
 enum Item<'a> {
-    /// An instruction (or an `li`/`la` pseudo expanding to two), with the
-    /// form pass 1 chose for it; `None` for an unknown mnemonic.
+    /// An instruction (or an `li`/`la` pseudo expanding to two) with its
+    /// operand text, and the form pass 1 chose for it; `None` for an
+    /// unknown mnemonic. Pass 2 splits the text again: keeping the split
+    /// operands would nearly double the size of every item.
     Code {
         line: usize,
         pc: u32,
         mnemonic: Cow<'a, str>,
-        ops: Operands<'a>,
+        args: &'a str,
         form: Option<&'static Form>,
     },
     /// `.word`/`.half`/`.byte` data: the comma-separated expressions of
@@ -168,27 +170,17 @@ enum Item<'a> {
     Pad { pc: u32, len: u32 },
 }
 
-/// What pass 2 writes at an address.
+/// What pass 2 writes at an address: a line's code is kept inline.
 enum Chunk {
     Code(LineCode),
-    Data(Vec<u8>),
-    Zeros(u32),
+    Bytes(Vec<u8>),
 }
 
 impl Chunk {
-    fn len(&self) -> usize {
+    fn as_bytes(&self) -> &[u8] {
         match self {
-            Chunk::Code(c) => c.as_bytes().len(),
-            Chunk::Data(d) => d.len(),
-            Chunk::Zeros(n) => *n as usize,
-        }
-    }
-
-    fn append_to(&self, out: &mut Vec<u8>) {
-        match self {
-            Chunk::Code(c) => out.extend_from_slice(c.as_bytes()),
-            Chunk::Data(d) => out.extend_from_slice(d),
-            Chunk::Zeros(n) => out.resize(out.len() + *n as usize, 0),
+            Chunk::Code(c) => c.as_bytes(),
+            Chunk::Bytes(b) => b,
         }
     }
 }
@@ -256,7 +248,7 @@ impl<'a> Assembler<'a> {
                 line: line_no,
                 pc: here,
                 mnemonic,
-                ops,
+                args,
                 form,
             });
             pc = Some(here + size);
@@ -276,7 +268,8 @@ impl<'a> Assembler<'a> {
             "org" => {
                 let base = self.eval(
                     line,
-                    ops.first()
+                    ops.iter()
+                        .next()
                         .ok_or_else(|| err(line, ".org needs an address"))?,
                 )?;
                 self.section_starts.push(base);
@@ -286,7 +279,7 @@ impl<'a> Assembler<'a> {
                 if ops.len() != 2 {
                     return Err(err(line, ".equ needs NAME, VALUE"));
                 }
-                let (name, value) = (ops.first[0], ops.first[1]);
+                let (name, value) = (ops.text[0], ops.text[1]);
                 let value = self.eval(line, value)?;
                 if !is_ident(name) {
                     return Err(err(line, format!("invalid .equ name `{name}`")));
@@ -301,7 +294,8 @@ impl<'a> Assembler<'a> {
                 let here = pc.ok_or_else(|| err(line, ".align before .org"))?;
                 let a = self.eval(
                     line,
-                    ops.first()
+                    ops.iter()
+                        .next()
                         .ok_or_else(|| err(line, ".align needs a value"))?,
                 )?;
                 if a == 0 || !a.is_power_of_two() {
@@ -339,7 +333,8 @@ impl<'a> Assembler<'a> {
                 let here = pc.ok_or_else(|| err(line, ".space before .org"))?;
                 let n = self.eval(
                     line,
-                    ops.first()
+                    ops.iter()
+                        .next()
                         .ok_or_else(|| err(line, ".space needs a length"))?,
                 )?;
                 self.items.push(Item::Space { pc: here, len: n });
@@ -395,7 +390,7 @@ impl<'a> Assembler<'a> {
     }
 
     fn pass2(mut self) -> Result<Image, SimError> {
-        let mut writes: Vec<(u32, Chunk)> = Vec::with_capacity(self.items.len());
+        let mut writes: Vec<(u32, Chunk)> = Vec::new();
         let items = std::mem::take(&mut self.items);
         for item in &items {
             match item {
@@ -403,10 +398,11 @@ impl<'a> Assembler<'a> {
                     line,
                     pc,
                     mnemonic,
-                    ops,
+                    args,
                     form,
                 } => {
-                    let code = self.code(*line, *pc, mnemonic, ops, *form)?;
+                    let ops = Operands::parse(args);
+                    let code = self.code(*line, *pc, mnemonic, &ops, *form)?;
                     writes.push((*pc, Chunk::Code(code)));
                 }
                 Item::Data {
@@ -425,10 +421,10 @@ impl<'a> Assembler<'a> {
                         }
                         bytes.extend_from_slice(&v.to_le_bytes()[..usize::from(*width)]);
                     }
-                    writes.push((*pc, Chunk::Data(bytes)));
+                    writes.push((*pc, Chunk::Bytes(bytes)));
                 }
                 Item::Space { pc, len } | Item::Pad { pc, len } => {
-                    writes.push((*pc, Chunk::Zeros(*len)));
+                    writes.push((*pc, Chunk::Bytes(vec![0u8; *len as usize])));
                 }
             }
         }
@@ -436,21 +432,18 @@ impl<'a> Assembler<'a> {
         writes.sort_by_key(|&(pc, _)| pc);
         let mut sections: Vec<Section> = Vec::new();
         for (pc, chunk) in writes {
-            if chunk.len() == 0 {
+            let bytes = chunk.as_bytes();
+            if bytes.is_empty() {
                 continue;
             }
             match sections.last_mut() {
                 Some(s) if s.base.0 as u64 + s.bytes.len() as u64 == u64::from(pc) => {
-                    chunk.append_to(&mut s.bytes);
+                    s.bytes.extend_from_slice(bytes);
                 }
-                _ => {
-                    let mut bytes = Vec::new();
-                    chunk.append_to(&mut bytes);
-                    sections.push(Section {
-                        base: Addr(pc),
-                        bytes,
-                    });
-                }
+                _ => sections.push(Section {
+                    base: Addr(pc),
+                    bytes: bytes.to_vec(),
+                }),
             }
         }
         Ok(Image::from_parts(sections, self.symbols))
@@ -478,9 +471,9 @@ impl<'a> Assembler<'a> {
                     format!("`{m}` expects 2 operands, got {}", ops.len()),
                 ));
             }
-            let v = self.eval(line, ops.first[1])?;
+            let v = self.eval(line, ops.text[1])?;
             let (hi, lo) = if m == "li" {
-                let rd = self.register(line, Kind::D, ops.first[0])?;
+                let rd = self.register(line, Kind::D, ops.text[0])?;
                 let rd = DReg(rd as u8);
                 (
                     Instr::MovH {
@@ -490,7 +483,7 @@ impl<'a> Assembler<'a> {
                     Instr::OrIL { rd, imm: v as u16 },
                 )
             } else {
-                let ad = AReg(self.register(line, Kind::A, ops.first[0])? as u8);
+                let ad = AReg(self.register(line, Kind::A, ops.text[0])? as u8);
                 let lo = v as u16 as i16;
                 let hi = (v.wrapping_sub(lo as i32 as u32) >> 16) as u16;
                 (Instr::MovHA { ad, imm: hi }, Instr::AddIA { ad, imm: lo })
@@ -679,18 +672,18 @@ fn split_operands(s: &str) -> impl Iterator<Item = &str> {
 /// as any instruction takes) and how many there are in all.
 #[derive(Debug, Clone, Copy)]
 struct Operands<'a> {
-    first: [&'a str; 4],
+    text: [&'a str; 4],
     len: usize,
 }
 
 impl<'a> Operands<'a> {
     fn parse(args: &'a str) -> Operands<'a> {
         let mut ops = Operands {
-            first: [""; 4],
+            text: [""; 4],
             len: 0,
         };
         for op in split_operands(args) {
-            if let Some(slot) = ops.first.get_mut(ops.len) {
+            if let Some(slot) = ops.text.get_mut(ops.len) {
                 *slot = op;
             }
             ops.len += 1;
@@ -702,12 +695,8 @@ impl<'a> Operands<'a> {
         self.len
     }
 
-    fn first(&self) -> Option<&'a str> {
-        (self.len > 0).then_some(self.first[0])
-    }
-
     fn iter(&self) -> impl Iterator<Item = &'a str> {
-        self.first.into_iter().take(self.len)
+        self.text.into_iter().take(self.len)
     }
 }
 

@@ -295,9 +295,30 @@ fn put(slot: u8, shape: Shape, ops: &Ops) -> u32 {
     word
 }
 
-/// Whether every immediate of `ops` lies in its operand's range. Only a
-/// field wider than its range can hold one that does not: the 12-bit
-/// `shi` amount, whose range is -32..=31.
+/// Whether a field of `shape` can hold an immediate outside its operand's
+/// range. Only the 12-bit `shi` amount can (its range is -32..=31), so
+/// decode checks ranges for that shape alone; evaluated at compile time.
+const fn can_hold_out_of_range(shape: Shape) -> bool {
+    let mut i = 0;
+    while i < shape.len() {
+        if let (Kind::Imm(r), f) = shape[i] {
+            let span = 1i64 << f.bits;
+            let (lo, hi) = if r.lo < 0 {
+                (-span / 2, span / 2 - 1)
+            } else {
+                (0, span - 1)
+            };
+            let bias = f.bias as i64;
+            if lo + bias < r.lo as i64 || hi + bias > r.hi as i64 {
+                return true;
+            }
+        }
+        i += 1;
+    }
+    false
+}
+
+/// Whether every immediate of `ops` lies in its operand's range.
 #[inline(always)]
 fn in_range(shape: Shape, ops: &Ops) -> bool {
     shape.iter().zip(ops).all(|(&(kind, _), &v)| match kind {
@@ -419,7 +440,7 @@ macro_rules! forms {
             Some(match slot {
                 $($slot => {
                     let ops = get($shape, word);
-                    if !in_range($shape, &ops) {
+                    if const { can_hold_out_of_range($shape) } && !in_range($shape, &ops) {
                         return None;
                     }
                     instr!(ops, $variant { $($f),* } { $($($fixed: $value),+)? })

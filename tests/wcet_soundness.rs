@@ -7,8 +7,9 @@
 //! per-block and end-to-end cycles checked by
 //! [`audo_analyze::wcet::check_profile`]). The fuzzer's `--check-wcet`
 //! mode must render byte-identical reports at any worker count. The
-//! engine workload's WCET/CSA report is pinned as a golden; refresh an
-//! intentional change with:
+//! engine workload's WCET/CSA report is pinned as a golden, and so are
+//! the reports of seeded generated programs and the corpus under the
+//! fuzz tier's cost model; refresh an intentional change with:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test wcet_soundness
@@ -194,5 +195,31 @@ fn engine_wcet_report_matches_golden() {
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wcet_engine.txt");
+    audo_common::golden::check(&path, &actual);
+}
+
+/// Generated programs pinned by [`generated_wcet_reports_match_golden`].
+const GOLDEN_PROGRAMS: u64 = 150;
+
+/// The WCET/CSA reports of seeded generated programs plus every corpus
+/// program, under the fuzz tier's cost model and CSA budget, are pinned
+/// byte-for-byte: every loop's header, depth, size and trip, every
+/// function's bounds and every finding.
+#[test]
+fn generated_wcet_reports_match_golden() {
+    let mut actual = String::new();
+    for seed in 0..GOLDEN_PROGRAMS {
+        let src = audo_fuzz::gen::generate(seed, &[]);
+        let image = audo_tricore::asm::assemble(&src)
+            .unwrap_or_else(|e| panic!("generated program {seed} assembles: {e}"));
+        let (_, report, _) = analyze_image(&image, &format!("gen_{seed}"));
+        actual.push_str(&wcet::render_report(&report));
+    }
+    for e in load_corpus(&default_corpus_dir()).expect("corpus loads") {
+        let (_, report, _) = analyze_image(&e.image, &e.file_name);
+        actual.push_str(&wcet::render_report(&report));
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wcet_generated.txt");
     audo_common::golden::check(&path, &actual);
 }

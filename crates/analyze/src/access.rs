@@ -11,8 +11,8 @@ use audo_common::Addr;
 use audo_platform::config::{Region, SocConfig};
 use audo_tricore::isa::Instr;
 
-use crate::cfg::Cfg;
-use crate::constprop::{self, Solution};
+use crate::cfg::{Block, Cfg};
+use crate::constprop::{self, RegState, Solution};
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,23 +70,33 @@ fn operands(
 pub fn extract(cfg: &Cfg, sol: &Solution, soc: &SocConfig) -> Vec<MemAccess> {
     let mut out = Vec::new();
     for block in cfg.blocks.values() {
-        let mut st = sol.entry_of(block.start);
-        for site in &block.instrs {
-            if let Some((kind, ab, off, width)) = operands(&site.instr) {
-                let target = st.a[ab as usize].map(|base| base.wrapping_add(off as u32));
-                out.push(MemAccess {
-                    site: site.addr,
-                    block: block.start,
-                    kind,
-                    width,
-                    target,
-                    region: target.map(|t| soc.region_of(Addr(t))),
-                });
-            }
-            constprop::transfer(&mut st, &site.instr);
-        }
+        extract_block(block, sol.entry_of(block.start), soc, &mut out);
     }
     out
+}
+
+/// Appends the access sites of one block to `out`, starting from the
+/// register state `st` at its entry.
+pub(crate) fn extract_block(
+    block: &Block,
+    mut st: RegState,
+    soc: &SocConfig,
+    out: &mut Vec<MemAccess>,
+) {
+    for site in &block.instrs {
+        if let Some((kind, ab, off, width)) = operands(&site.instr) {
+            let target = st.a[ab as usize].map(|base| base.wrapping_add(off as u32));
+            out.push(MemAccess {
+                site: site.addr,
+                block: block.start,
+                kind,
+                width,
+                target,
+                region: target.map(|t| soc.region_of(Addr(t))),
+            });
+        }
+        constprop::transfer(&mut st, &site.instr);
+    }
 }
 
 #[cfg(test)]

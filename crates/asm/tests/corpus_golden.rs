@@ -77,11 +77,10 @@ fn corpus_disassembly_round_trips_semantically() {
                         e.file_name, line.text
                     )
                 });
-                let bytes = re
-                    .bytes_at(line.addr, 4)
-                    .or_else(|| re.bytes_at(line.addr, 2))
+                let (word, avail) = re
+                    .instr_bytes(line.addr)
                     .unwrap_or_else(|| panic!("{}: no bytes at {}", e.file_name, line.addr));
-                let (back, _) = decode(&bytes, line.addr).unwrap_or_else(|err| {
+                let (back, _) = decode(&word[..avail], line.addr).unwrap_or_else(|err| {
                     panic!("{}: `{}` does not re-decode: {err}", e.file_name, line.text)
                 });
                 assert_eq!(
@@ -111,11 +110,8 @@ fn every_assigned_opcode_is_assemblable_from_its_canonical_text() {
         let src = format!(".org {:#x}\n{}\n", pc.0, text);
         let image = assemble(&src)
             .unwrap_or_else(|err| panic!("slot {idx} ({name}): `{text}` rejected: {err}"));
-        let bytes = image
-            .bytes_at(pc, 4)
-            .or_else(|| image.bytes_at(pc, 2))
-            .expect("sample bytes");
-        let (back, _) = decode(&bytes, pc).expect("sample re-decodes");
+        let (word, avail) = image.instr_bytes(pc).expect("sample bytes");
+        let (back, _) = decode(&word[..avail], pc).expect("sample re-decodes");
         assert_eq!(sample, back, "slot {idx} ({name}): `{text}` drifted");
         assert_eq!(
             opcode_index(&back),

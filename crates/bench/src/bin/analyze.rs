@@ -33,9 +33,13 @@
 //!   --bench-json PATH        instead of analyzing one image, time the
 //!                            full static pipeline (CFG recovery,
 //!                            classification, rate prediction, WCET) over
-//!                            the named workloads and write analyzer
-//!                            throughput (blocks/sec) as a
-//!                            BENCH_analyze.json perf artifact
+//!                            the named workloads (blocks/sec), and the
+//!                            fuzz checker's WCET static part
+//!                            (`recover_solved` + `analyze_wcet`) over
+//!                            seeded generated programs (programs/sec,
+//!                            split into its parts, with a digest of the
+//!                            rendered reports on stderr); write both as
+//!                            a BENCH_analyze.json perf artifact
 //! ```
 //!
 //! Exit status: 0 clean, 1 the analysis reported errors, 2 the measured
@@ -125,11 +129,15 @@ fn parse_args() -> Result<Args, String> {
 /// Cycle budget for `--asm` images, which carry no workload metadata.
 const ASM_MAX_CYCLES: u64 = 5_000_000;
 
-/// Times the full static pipeline over the named workloads and writes
-/// the throughput artifact. Images are built outside the timed region;
-/// the pass runs `REPS` times and every pass must see the same blocks.
+/// Seeded generated programs the `wcet_static` rows analyze.
+const WCET_PROGRAMS: u64 = 1000;
+
+/// Times the full static pipeline over the named workloads and the WCET
+/// static part over generated programs, and writes the throughput
+/// artifact. Images are built outside the timed region; each pass runs
+/// `REPS` times and every pass must see the same work.
 fn run_bench(cfg: &SocConfig, path: &str) -> Result<(), String> {
-    const REPS: usize = 5;
+    const REPS: usize = 11;
     let mut prepared = Vec::new();
     for spec in ["engine", "transmission", "chassis"] {
         let w = build_workload(spec)?;
@@ -154,15 +162,82 @@ fn run_bench(cfg: &SocConfig, path: &str) -> Result<(), String> {
     })?;
     let mut doc = BenchDoc::new("analyze_blocks", 1, REPS);
     doc.row("analyze", "pass", blocks, "block", &ns[0]);
+    wcet_static_rows(&mut doc, REPS)?;
     doc.write(path)?;
-    let row = &doc.rows[0];
-    eprintln!(
-        "analyze: {} blocks in {:.3}s ({:.0} blocks/sec)",
-        row.work,
-        row.ns.median / 1e9,
-        row.per_sec()
-    );
+    for row in &doc.rows {
+        eprintln!(
+            "{} {}: {} {}s in {:.3}s ({:.0}/sec, MAD {:.1}%)",
+            row.name,
+            row.variant,
+            row.work,
+            row.unit,
+            row.ns.median / 1e9,
+            row.per_sec(),
+            100.0 * row.ns.mad / row.ns.median
+        );
+    }
     eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// The fuzz checker's WCET static part over [`WCET_PROGRAMS`] seeded
+/// generated programs, with the fuzz tier's cost model and CSA budget:
+/// `pass` is `recover_solved` + `analyze_wcet` per program; the split
+/// variants time `recover_solved` alone, one `constprop::solve` of the
+/// recovered graph, and `analyze_wcet` alone on the recovered graph.
+/// Prints an FNV-1a digest of the rendered reports, so two builds can be
+/// checked for identical output.
+fn wcet_static_rows(doc: &mut BenchDoc, reps: usize) -> Result<(), String> {
+    use audo_analyze::{cfg, constprop};
+    use audo_fuzz::tiers::CSA_FRAMES;
+    use audo_tricore::bus::TestBus;
+    use audo_tricore::pipeline::{CoreConfig, MemCosts};
+
+    let images = (0..WCET_PROGRAMS)
+        .map(|seed| {
+            audo_tricore::asm::assemble(&audo_fuzz::gen::generate(seed, &[]))
+                .map_err(|e| format!("generated program {seed}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let model = CostModel::new(
+        CoreConfig::default(),
+        MemCosts::of_test_bus(&TestBus::new()),
+    );
+    let recovered: Vec<_> = images.iter().map(cfg::recover_solved).collect();
+    let names = ["pass", "recover_solved", "solve", "analyze_wcet"];
+    let (ns, programs) = measure(reps, &names, |v| {
+        time(|| {
+            for (image, (g, sol)) in images.iter().zip(&recovered) {
+                match v {
+                    0 => {
+                        let (g, sol) = cfg::recover_solved(image);
+                        std::hint::black_box(wcet::analyze_wcet(&g, &sol, &model, CSA_FRAMES, ""));
+                    }
+                    1 => {
+                        std::hint::black_box(cfg::recover_solved(image));
+                    }
+                    2 => {
+                        std::hint::black_box(constprop::solve(g));
+                    }
+                    _ => {
+                        std::hint::black_box(wcet::analyze_wcet(g, sol, &model, CSA_FRAMES, ""));
+                    }
+                }
+            }
+            images.len() as u64
+        })
+    })?;
+    for (name, ns) in names.iter().zip(&ns) {
+        doc.row("wcet_static", name, programs, "program", ns);
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for (seed, (g, sol)) in recovered.iter().enumerate() {
+        let report = wcet::analyze_wcet(g, sol, &model, CSA_FRAMES, &format!("gen_{seed}"));
+        for &b in wcet::render_report(&report).as_bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    eprintln!("wcet_static: report digest {digest:016x} over {programs} programs");
     Ok(())
 }
 

@@ -167,11 +167,10 @@ struct Decoded {
 /// the one [`Image::symbol_containing`] names: the closest at or below
 /// `pc`, and among labels at one address the last in name order.
 fn decode_at(image: &Image, pc: u32) -> Result<Decoded, SimError> {
-    let bytes = image
-        .bytes_at(Addr(pc), 4)
-        .or_else(|| image.bytes_at(Addr(pc), 2))
+    let (word, avail) = image
+        .instr_bytes(Addr(pc))
         .ok_or_else(|| err(format!("trace walked outside the image at {:#x}", pc)))?;
-    let (instr, len) = decode(&bytes, Addr(pc))?;
+    let (instr, len) = decode(&word[..avail], Addr(pc))?;
     let symbol = image
         .symbols()
         .values()

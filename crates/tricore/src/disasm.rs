@@ -75,7 +75,7 @@ pub fn disassemble_range(image: &Image, start: Addr, len: u32) -> Vec<ListingLin
     let mut pc = start;
     let end = start.0.saturating_add(len);
     while pc.0 < end {
-        let Some((word, avail)) = fetch(image, pc) else {
+        let Some((word, avail)) = image.instr_bytes(pc) else {
             break;
         };
         let bytes = &word[..avail];
@@ -104,34 +104,6 @@ pub fn disassemble_range(image: &Image, start: Addr, len: u32) -> Vec<ListingLin
         }
     }
     out
-}
-
-/// The bytes an instruction at `pc` can take: four when the image holds
-/// them all, else two, else `None`. They come from the slice of the
-/// section holding `pc`; only near its end are the following bytes looked
-/// up in whichever section holds them, so an instruction may run across
-/// two adjacent sections that were not merged.
-fn fetch(image: &Image, pc: Addr) -> Option<([u8; 4], usize)> {
-    let section = image
-        .sections()
-        .iter()
-        .find(|s| pc.in_range(s.base, s.bytes.len() as u32))?;
-    let tail = &section.bytes[(pc.0 - section.base.0) as usize..];
-    let mut word = [0; 4];
-    let mut n = tail.len().min(4);
-    word[..n].copy_from_slice(&tail[..n]);
-    while n < 4 {
-        let Some(b) = image.byte_at(pc.offset(n as u32)) else {
-            break;
-        };
-        word[n] = b;
-        n += 1;
-    }
-    match n {
-        4 => Some((word, 4)),
-        2 | 3 => Some((word, 2)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -123,6 +123,36 @@ impl Image {
         None
     }
 
+    /// The bytes an instruction at `pc` can take, without allocating: all
+    /// four when the image holds them, else the first two (the length
+    /// says which), else `None`. They come from the slice of the section
+    /// holding `pc`; only near its end are the following bytes looked up
+    /// in whichever section holds them, so an instruction may run across
+    /// two adjacent sections that were not merged.
+    #[must_use]
+    pub fn instr_bytes(&self, pc: Addr) -> Option<([u8; 4], usize)> {
+        let section = self
+            .sections
+            .iter()
+            .find(|s| pc.in_range(s.base, s.bytes.len() as u32))?;
+        let tail = &section.bytes[(pc.0 - section.base.0) as usize..];
+        let mut word = [0; 4];
+        let mut n = tail.len().min(4);
+        word[..n].copy_from_slice(&tail[..n]);
+        while n < 4 {
+            let Some(b) = self.byte_at(pc.offset(n as u32)) else {
+                break;
+            };
+            word[n] = b;
+            n += 1;
+        }
+        match n {
+            4 => Some((word, 4)),
+            2 | 3 => Some((word, 2)),
+            _ => None,
+        }
+    }
+
     /// Reads up to `len` consecutive bytes starting at `addr`.
     #[must_use]
     pub fn bytes_at(&self, addr: Addr, len: usize) -> Option<Vec<u8>> {
@@ -231,6 +261,42 @@ mod tests {
             None,
             "crosses section end"
         );
+    }
+
+    #[test]
+    fn instr_bytes_run_across_unmerged_adjacent_sections() {
+        // A 32-bit instruction whose upper half sits in the next section.
+        let img = Image::from_parts(
+            vec![
+                Section {
+                    base: Addr(0x8000_0000),
+                    bytes: vec![0x11, 0x22, 0x33, 0x44, 0x55, 0x66],
+                },
+                Section {
+                    base: Addr(0x8000_0006),
+                    bytes: vec![0x77, 0x88],
+                },
+            ],
+            BTreeMap::new(),
+        );
+        assert_eq!(
+            img.instr_bytes(Addr(0x8000_0004)),
+            Some(([0x55, 0x66, 0x77, 0x88], 4))
+        );
+        assert_eq!(
+            img.bytes_at(Addr(0x8000_0004), 4),
+            Some(vec![0x55, 0x66, 0x77, 0x88])
+        );
+        // Two bytes short of a word at the image end: a halfword.
+        assert_eq!(img.instr_bytes(Addr(0x8000_0006)).map(|(_, n)| n), Some(2));
+        let (w, _) = img.instr_bytes(Addr(0x8000_0006)).unwrap();
+        assert_eq!(w[..2], [0x77, 0x88]);
+        // One byte left, or none: nothing an instruction can take.
+        assert_eq!(img.instr_bytes(Addr(0x8000_0007)), None);
+        assert_eq!(img.instr_bytes(Addr(0x8000_0008)), None);
+        // A gap between sections stops the word at the gap.
+        let demo = demo_image();
+        assert_eq!(demo.instr_bytes(Addr(0x8000_0002)).map(|(_, n)| n), Some(2));
     }
 
     #[test]

@@ -279,6 +279,7 @@ done
 # least open with module docs.
 for f in crates/obs/src/profile.rs crates/bench/src/bin/profile.rs \
          crates/analyze/src/wcet.rs crates/analyze/src/loopbound.rs \
+         crates/analyze/src/cfg.rs crates/analyze/src/constprop.rs \
          crates/bench/src/bin/analyze.rs; do
     if ! head -1 "$f" | grep -q '^//!'; then
         echo "missing module docs (//!): $f" >&2

@@ -90,7 +90,7 @@ fn dma_span(base: u32, count: u32, inc: i32) -> (u32, u32) {
 #[must_use]
 pub fn dma_ranges(dma: &DmaState) -> Vec<MasterRange> {
     let mut out = Vec::new();
-    for (i, c) in dma.ch.iter().enumerate() {
+    for (i, c) in dma.channels().iter().enumerate() {
         if !c.enabled {
             continue;
         }
@@ -376,13 +376,12 @@ mod tests {
 
     fn dma_with(dst: u32, count: u32, dst_inc: i32) -> DmaState {
         let mut dma = DmaState::new();
-        let c = &mut dma.ch[0];
-        c.src = 0xF000_200C;
-        c.dst = dst;
-        c.count = count;
-        c.src_inc = 0;
-        c.dst_inc = dst_inc;
-        c.enabled = true;
+        dma.mmio_write(0x00, 0xF000_200C);
+        dma.mmio_write(0x04, dst);
+        dma.mmio_write(0x08, count);
+        dma.mmio_write(0x10, 0);
+        dma.mmio_write(0x14, dst_inc as u32);
+        dma.mmio_write(0x0C, 1); // enabled
         dma
     }
 

@@ -119,12 +119,11 @@ _start:
 ";
     let image = audo_tricore::asm::assemble(src).expect("assembles");
     let mut dma = DmaState::new();
-    let c = &mut dma.ch[0];
-    c.src = 0xF000_200C;
-    c.dst = 0xD000_0100;
-    c.count = 8;
-    c.dst_inc = 4;
-    c.enabled = true;
+    dma.mmio_write(0x00, 0xF000_200C);
+    dma.mmio_write(0x04, 0xD000_0100);
+    dma.mmio_write(0x08, 8);
+    dma.mmio_write(0x14, 4);
+    dma.mmio_write(0x0C, 1); // enabled
     let masters = MasterRanges::derive(&dma, None);
     let a = analyze(&image, &SocConfig::tc1797(), &masters, "crafted");
     let codes: Vec<&str> = a.findings.iter().map(|f| f.code).collect();

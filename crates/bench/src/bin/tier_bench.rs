@@ -17,10 +17,12 @@
 //!   cycles, stall decomposition, events and MCDS trace bytes.
 //! * soc (the full chip on `mac_kernel` and a short engine run):
 //!   `uncached` and `cached` (`Soc::run_to_halt`, observation off, as a
-//!   production chip), `emulation` (`Soc::run`, observation on) and `ed`
+//!   production chip), `emulation` (`Soc::run`, observation on), `ed`
 //!   (an Emulation Device running a four-rate-probe `session::profile` to
-//!   halt, trace download and decode included). Timed region: the run,
-//!   chip construction and image load excluded. Before timing,
+//!   halt, trace download and decode included) and `ed+session` (the same
+//!   session drained concurrently through the framed DAP host tool at the
+//!   fleet's link settings, 2% link faults; `ed` drains offline). Timed
+//!   region: the run, chip construction and image load excluded. Before timing,
 //!   `tiers::check_soc_identity` steps an uncached and a cached SoC in
 //!   lockstep, observation on, and names the first cycle whose events,
 //!   bus transactions, retired count or halt differ.
@@ -34,7 +36,9 @@
 //! each tier's geomean of those ratios over the workloads: the fast path
 //! must be faster (> 1.0), and every instrumentation overhead must lie in
 //! `[0.97, ceiling]` — 1.25 for the mix counter, 1.4 for profiling, 1.3
-//! for soc emulation mode and 2.1 for the soc ED session.
+//! for soc emulation mode and 2.1 for the soc ED session. The soc ratio
+//! `ed+session / ed`, the host tool's own cost, is recorded but not
+//! gated.
 //!
 //! `--trace-out`/`--metrics-out` write observability exports of one
 //! instrumented ISS run per workload (fast path, mix counter on). Their
@@ -47,19 +51,22 @@
 use audo_bench::harness::{measure, time, BenchDoc, Stats};
 use audo_bench::{cli, tiers};
 use audo_common::EventSink;
+use audo_dap::FaultConfig;
 use audo_ed::{EdConfig, EmulationDevice};
 use audo_platform::config::SocConfig;
 use audo_platform::Soc;
 use audo_profiler::metrics::Metric;
-use audo_profiler::session::{profile, SessionOptions};
+use audo_profiler::session::{profile, DrainPolicy, SessionOptions, ToolLinkOptions};
 use audo_profiler::spec::ProfileSpec;
 use audo_workloads::engine::{engine_control, EngineParams};
 use audo_workloads::micro::{div_kernel, mac_kernel, random_mix, stream_copy};
 use audo_workloads::Workload;
 
-/// Reps per variant: a multiple of every tier's variant count, so every
-/// variant leads a rep equally often.
+/// Reps per variant: a multiple of the ISS and pipeline variant counts,
+/// so every variant leads a rep equally often.
 const REPS: usize = 24;
+/// Reps per soc variant, a multiple of the soc variant count.
+const SOC_REPS: usize = 25;
 /// Further reps of each block-profiling variant and its uninstrumented
 /// twin, run as a pair after the tier's [`REPS`]: their ratio sits close
 /// to [`OVERHEAD_FLOOR`], so it is read from more pairs than the others.
@@ -81,7 +88,9 @@ const MAX_INSTRS: u64 = 50_000_000;
 
 const ISS: [&str; 4] = ["slow", "fast", "fast+mix", "fast+profile"];
 const PIPELINE: [&str; 3] = ["uncached", "cached", "cached+profile"];
-const SOC: [&str; 4] = ["uncached", "cached", "emulation", "ed"];
+const SOC: [&str; 5] = ["uncached", "cached", "emulation", "ed", "ed+session"];
+/// Tool-link fault rate of the `ed+session` variant, the fleet's base rate.
+const SESSION_FAULT_RATE: f64 = 0.02;
 
 /// The band a tier's geomean of paired ratios must lie in.
 enum Band {
@@ -107,8 +116,10 @@ impl Band {
     }
 }
 
-/// The gated ratios, `(tier, of, over, band)`; they are also the ratios
-/// the JSON records.
+/// Ratios the JSON records beside the gated ones, `(tier, of, over)`.
+const REPORTED: [(&str, &str, &str); 1] = [("soc", "ed+session", "ed")];
+
+/// The gated ratios, `(tier, of, over, band)`; the JSON records them too.
 const GATES: [(&str, &str, &str, Band); 8] = [
     ("iss", "slow", "fast", Band::Speedup),
     ("iss", "fast+mix", "fast", Band::Overhead(MIX_CEIL)),
@@ -151,8 +162,16 @@ fn pipeline_run(w: &Workload, v: usize) -> (u64, (u64, u64)) {
 /// One timed SoC run of variant `v` (an index into [`SOC`]), returning
 /// `(ns, (cycles, retired))`.
 fn soc_run(w: &Workload, v: usize) -> (u64, (u64, u64)) {
-    if SOC[v] == "ed" {
-        return ed_run(w);
+    match SOC[v] {
+        "ed" => return ed_run(w, DrainPolicy::Offline),
+        "ed+session" => {
+            let link = ToolLinkOptions {
+                faults: FaultConfig::uniform(SESSION_FAULT_RATE, 1),
+                ..ToolLinkOptions::default()
+            };
+            return ed_run(w, DrainPolicy::Session(link));
+        }
+        _ => {}
     }
     let mut soc = Soc::new(SocConfig::default());
     soc.tricore.set_fast_path(SOC[v] != "uncached");
@@ -172,8 +191,9 @@ fn soc_run(w: &Workload, v: usize) -> (u64, (u64, u64)) {
     (ns, (cycles, soc.tricore.retired_total()))
 }
 
-/// One timed ED session: four rate probes, run to halt.
-fn ed_run(w: &Workload) -> (u64, (u64, u64)) {
+/// One timed ED session: four rate probes, run to halt, trace drained
+/// by `drain`.
+fn ed_run(w: &Workload, drain: DrainPolicy) -> (u64, (u64, u64)) {
     let mut ed = EmulationDevice::new(SocConfig::default(), EdConfig::default());
     w.install_ed(&mut ed).expect("workload installs");
     let spec = ProfileSpec::new()
@@ -183,6 +203,7 @@ fn ed_run(w: &Workload) -> (u64, (u64, u64)) {
         .metric(Metric::InterruptsPerKilocycle, 1000);
     let opts = SessionOptions {
         max_cycles: w.max_cycles,
+        drain,
         run_to_halt: true,
         ..SessionOptions::default()
     };
@@ -191,14 +212,16 @@ fn ed_run(w: &Workload) -> (u64, (u64, u64)) {
     (ns, (out.cycles, ed.soc.tricore.retired_total()))
 }
 
-/// [`measure`] over `names` whose agreed `(cycles, retired)` must also
-/// be `expected`, the outcome of the observed identity-check runs.
+/// [`measure`] over `names`, `reps` times, whose agreed `(cycles,
+/// retired)` must also be `expected`, the outcome of the observed
+/// identity-check runs.
 fn measure_against(
+    reps: usize,
     names: &[&str],
     expected: (u64, u64),
     run: impl FnMut(usize) -> (u64, (u64, u64)),
 ) -> Result<Vec<Vec<u64>>, String> {
-    let (ns, outcome) = measure(REPS, names, run)?;
+    let (ns, outcome) = measure(reps, names, run)?;
     if outcome != expected {
         return Err(format!(
             "timed runs returned (cycles, retired) {outcome:?}, observed runs {expected:?}"
@@ -253,7 +276,8 @@ fn record(
         );
     }
     let of = |v: &str| ns[names.iter().position(|n| *n == v).expect("known variant")].as_slice();
-    for (_, a, b, _) in GATES.iter().filter(|g| g.0 == tier) {
+    let gated = GATES.iter().map(|g| (g.0, g.1, g.2));
+    for (_, a, b) in gated.chain(REPORTED).filter(|g| g.0 == tier) {
         let r = doc.ratio(&name, (a, of(a)), (b, of(b)));
         println!("{name:<22} {a} / {b} = {:.3}x ±{:.3}", r.median, r.mad);
     }
@@ -338,7 +362,7 @@ fn run() -> Result<i32, String> {
         record(&mut doc, "iss", w, &ISS, (retired, "instr"), &ns);
 
         let expected = tiers::check_cycle_identity(w)?;
-        let mut ns = measure_against(&PIPELINE, expected, |v| pipeline_run(w, v))
+        let mut ns = measure_against(REPS, &PIPELINE, expected, |v| pipeline_run(w, v))
             .map_err(tag("pipeline"))?;
         profile_reps(
             &mut ns,
@@ -367,7 +391,7 @@ fn run() -> Result<i32, String> {
     engine.name = "engine".into();
     for w in &[mac_kernel(50_000), engine] {
         let expected = tiers::check_soc_identity(w)?;
-        let ns = measure_against(&SOC, expected, |v| soc_run(w, v))
+        let ns = measure_against(SOC_REPS, &SOC, expected, |v| soc_run(w, v))
             .map_err(|e| format!("soc/{}: {e}", w.name))?;
         record(&mut doc, "soc", w, &SOC, (expected.0, "cycle"), &ns);
     }

@@ -83,13 +83,6 @@ impl DapConfig {
     pub fn bytes_per_cpu_cycle(&self) -> f64 {
         self.bytes_per_second() / self.cpu_clock.0 as f64
     }
-
-    /// Maximum register polls per second ("external sampling" mode). Each
-    /// poll reads `regs` registers.
-    #[must_use]
-    pub fn polls_per_second(&self, regs: u32) -> f64 {
-        self.bytes_per_second() / f64::from(self.reg_read_cost * regs)
-    }
 }
 
 /// A running DAP link: tracks the accumulated byte budget as simulated time
@@ -116,6 +109,9 @@ pub struct DapLink {
     /// `advance_cycles` calls regardless of call granularity — a long run
     /// of 1-cycle advances accrues exactly what one big advance would.
     consumed_millibytes: u64,
+    /// `cfg.bytes_per_cpu_cycle() * 1000.0`, the left factor of every
+    /// accrual product, computed once.
+    millibytes_per_cycle: f64,
     transferred: u64,
     now: Cycle,
 }
@@ -125,6 +121,7 @@ impl DapLink {
     #[must_use]
     pub fn new(cfg: DapConfig) -> DapLink {
         DapLink {
+            millibytes_per_cycle: cfg.bytes_per_cpu_cycle() * 1000.0,
             cfg,
             consumed_millibytes: 0,
             transferred: 0,
@@ -148,6 +145,13 @@ impl DapLink {
     /// truncation loss; f64 stays exact far beyond any simulated run
     /// (~2^53 millibyte-cycles).
     fn total_millibytes(&self) -> u64 {
+        self.millibytes_at(self.now.0)
+    }
+
+    /// Millibytes accrued by link cycle `cycle`: monotone in `cycle`, since
+    /// an f64 product with a non-negative factor and the float-to-int cast
+    /// both preserve order.
+    fn millibytes_at(&self, cycle: u64) -> u64 {
         // reason: product is non-negative and stays far below 2^53, so the
         // f64 round-trip is exact; the casts cannot truncate or lose sign.
         #[allow(
@@ -156,8 +160,40 @@ impl DapLink {
             clippy::cast_sign_loss
         )]
         {
-            (self.cfg.bytes_per_cpu_cycle() * 1000.0 * self.now.0 as f64) as u64
+            (self.millibytes_per_cycle * cycle as f64) as u64
         }
+    }
+
+    /// The first link cycle, not before [`DapLink::now`], at which
+    /// [`DapLink::available`] reaches `bytes`: the cycle a per-cycle loop
+    /// of `advance_cycles(1)` would first find `bytes` affordable. An
+    /// estimate from the rate is corrected by stepping with the accrual
+    /// formula itself, which is monotone, so the answer is exact. A link
+    /// that accrues nothing never covers a positive `bytes`: `u64::MAX`.
+    #[must_use]
+    pub fn cycle_covering(&self, bytes: usize) -> Cycle {
+        let target = self.consumed_millibytes + bytes as u64 * 1000;
+        if self.total_millibytes() >= target {
+            return self.now;
+        }
+        if self.millibytes_per_cycle.is_nan() || self.millibytes_per_cycle <= 0.0 {
+            return Cycle(u64::MAX);
+        }
+        // reason: the quotient is non-negative; a saturating cast of an
+        // estimate only moves the start of the exact search below.
+        #[allow(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss
+        )]
+        let mut m = ((target as f64 / self.millibytes_per_cycle).ceil() as u64).max(self.now.0 + 1);
+        while m > self.now.0 + 1 && self.millibytes_at(m - 1) >= target {
+            m -= 1;
+        }
+        while self.millibytes_at(m) < target {
+            m += 1;
+        }
+        Cycle(m)
     }
 
     /// Whole payload bytes currently available.
@@ -175,30 +211,6 @@ impl DapLink {
         self.consumed_millibytes += got as u64 * 1000;
         self.transferred += got as u64;
         got
-    }
-
-    /// Spends the cost of one register read; returns `false` (and spends
-    /// nothing) if the budget is insufficient.
-    pub fn take_register_read(&mut self) -> bool {
-        let cost = self.cfg.reg_read_cost as usize;
-        if self.available() >= cost {
-            self.take(cost);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Spends the cost of one register write; returns `false` if the budget
-    /// is insufficient.
-    pub fn take_register_write(&mut self) -> bool {
-        let cost = self.cfg.reg_write_cost as usize;
-        if self.available() >= cost {
-            self.take(cost);
-            true
-        } else {
-            false
-        }
     }
 
     /// Total payload bytes moved over the link's lifetime.
@@ -324,19 +336,62 @@ mod tests {
     fn register_polling_costs_budget() {
         let mut link = DapLink::new(DapConfig::default());
         link.advance_cycles(1500); // 100 bytes
+        let cost = link.config().reg_read_cost as usize;
         let mut polls = 0;
-        while link.take_register_read() {
+        while link.available() >= cost {
+            assert_eq!(link.take(cost), cost);
             polls += 1;
         }
         assert_eq!(polls, 10, "10 bytes per read");
-        assert!(!link.take_register_write(), "budget exhausted");
+        assert_eq!(link.available(), 0, "budget exhausted");
+    }
+
+    /// Every link cycle a per-cycle scan could find, against the jump.
+    fn cycle_covering_by_scan(link: &DapLink, bytes: usize) -> Cycle {
+        let mut probe = link.clone();
+        while probe.available() < bytes {
+            probe.advance_cycles(1);
+        }
+        probe.now()
     }
 
     #[test]
-    fn poll_rate_formula() {
-        let cfg = DapConfig::default();
-        // 10 MB/s / (10 B * 2 regs) = 500k polls/s.
-        assert_eq!(cfg.polls_per_second(2), 500_000.0);
+    fn cycle_covering_is_the_first_affordable_cycle() {
+        for pins in [1u8, 3, 8] {
+            for efficiency in [0.8, 1.0 / 3.0] {
+                for mhz in [150, 133] {
+                    let cfg = DapConfig {
+                        data_pins: pins,
+                        efficiency,
+                        cpu_clock: Freq::mhz(mhz),
+                        ..DapConfig::default()
+                    };
+                    let mut link = DapLink::new(cfg);
+                    for step in 0..40u64 {
+                        for bytes in [0usize, 1, 7, 55, 171] {
+                            assert_eq!(
+                                link.cycle_covering(bytes),
+                                cycle_covering_by_scan(&link, bytes),
+                                "pins {pins}, eff {efficiency}, {mhz} MHz, now {}, {bytes} B",
+                                link.now().0
+                            );
+                        }
+                        link.advance_cycles(step * 37 % 101);
+                        link.take(step as usize % 13);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_link_without_bandwidth_never_covers() {
+        let link = DapLink::new(DapConfig {
+            efficiency: 0.0,
+            ..DapConfig::default()
+        });
+        assert_eq!(link.cycle_covering(0), Cycle::ZERO);
+        assert_eq!(link.cycle_covering(1), Cycle(u64::MAX));
     }
 
     #[test]

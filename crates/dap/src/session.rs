@@ -427,16 +427,16 @@ impl DapSession {
 
     /// Link-cycle timestamps at which the most recent transaction started
     /// each attempt (pinned by the retry-schedule regression test).
-    #[must_use]
-    pub fn last_attempt_starts(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn last_attempt_starts(&self) -> &[u64] {
         &self.attempt_starts
     }
 
     /// Upper bound, in cycles, on one transaction with `cmd`/`resp` wire
     /// lengths under permanent link failure — the "configured budget" the
     /// bounded-retry guarantee is stated against.
-    #[must_use]
-    pub fn transaction_cycle_bound(&self, cmd_len: usize, resp_len: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn transaction_cycle_bound(&self, cmd_len: usize, resp_len: usize) -> u64 {
         let bpc = self.link.config().bytes_per_cpu_cycle();
         // reason: frame lengths are bounded by MAX_PAYLOAD and bpc > 0, so
         // ceil() yields a small non-negative integer the casts keep exact.
@@ -470,16 +470,15 @@ impl DapSession {
 
     /// Puts `len` payload bytes on the wire: advances link time until the
     /// byte budget covers them (pre-accrued budget makes this instant —
-    /// that is the same credit model the raw drain policy uses).
+    /// that is the same credit model the raw drain policy uses). One jump
+    /// to [`DapLink::cycle_covering`] ends where advancing one cycle per
+    /// partial `take` would: the partial takes add up to the whole bytes
+    /// accrued since the first, so both stop at the first cycle whose
+    /// accrual covers `len`, with `len` bytes consumed.
     fn transmit(&mut self, len: usize) {
-        let mut sent = 0;
-        loop {
-            sent += self.link.take(len - sent);
-            if sent == len {
-                break;
-            }
-            self.link.advance_cycles(1);
-        }
+        let at = self.link.cycle_covering(len).0;
+        self.link.advance_cycles(at - self.link.now().0);
+        self.link.take(len);
         self.stats.bytes_on_wire += len as u64;
     }
 
@@ -768,6 +767,16 @@ pub enum ArbitrationPolicy {
 /// is called once per simulated CPU cycle and issues at most one
 /// transaction when the accrued link budget covers it — trace readout and
 /// overlay calibration genuinely contend for the same bytes.
+///
+/// A pump that grants nothing computes its *due cycle*: the first link
+/// cycle at which the decision can change. Until then a pump only ticks
+/// the link clock. The decision reads the link budget, the write queue,
+/// the poll deadline and the last grant, never the device, and between
+/// grants only the budget and the clock move: the budget grows with the
+/// clock (an outside `take` only shrinks it, delaying the true wake), so
+/// the earliest of the poll deadline and the cycle the budget covers each
+/// wanted exchange is exactly when a per-cycle check would first act.
+/// [`HostTool::queue_overlay_write`] re-opens the gate.
 #[derive(Debug)]
 pub struct HostTool {
     /// The underlying session (exposed for stats inspection).
@@ -777,6 +786,8 @@ pub struct HostTool {
     collected: Vec<u8>,
     next_poll_at: u64,
     last_was_trace: bool,
+    /// Link cycle before which no pump can grant (the due cycle).
+    quiet_until: u64,
 }
 
 impl HostTool {
@@ -790,6 +801,7 @@ impl HostTool {
             collected: Vec::new(),
             next_poll_at: 0,
             last_was_trace: false,
+            quiet_until: 0,
         }
     }
 
@@ -802,6 +814,7 @@ impl HostTool {
             self.pending_writes
                 .push_back((addr + (i * chunk) as u32, part.to_vec()));
         }
+        self.quiet_until = 0;
     }
 
     /// Calibration writes not yet on the wire.
@@ -824,9 +837,20 @@ impl HostTool {
     /// Advances one CPU cycle and issues at most one transaction if the
     /// budget covers a full exchange. Transaction failures degrade
     /// gracefully: they are counted in the stats and retried on later
-    /// pumps (the cumulative-ack drain makes that loss-free).
+    /// pumps (the cumulative-ack drain makes that loss-free). Before its
+    /// due cycle a pump only ticks the link clock.
+    #[inline]
     pub fn pump(&mut self, ep: &mut dyn DapEndpoint) {
         self.session.link_mut().advance_cycles(1);
+        if self.session.link().now().0 < self.quiet_until {
+            return;
+        }
+        self.arbitrate(ep);
+    }
+
+    /// The pump's decision at the link's current cycle: grants at most one
+    /// transaction, or records the due cycle when nothing is affordable.
+    fn arbitrate(&mut self, ep: &mut dyn DapEndpoint) {
         let now = self.session.link().now().0;
         let budget = self.session.link().available();
         let write_pending = !self.pending_writes.is_empty();
@@ -847,8 +871,9 @@ impl HostTool {
             .pending_writes
             .front()
             .map(|(_, part)| Frame::wire_len(4 + part.len()) + Frame::wire_len(0));
+        let trace_cost = self.session.trace_exchange_cost();
         let pick_write = want_write && write_cost.is_some_and(|c| budget >= c);
-        let pick_trace = want_trace && budget >= self.session.trace_exchange_cost();
+        let pick_trace = want_trace && budget >= trace_cost;
         if pick_write {
             self.session.stats.overlay_grants += 1;
             self.last_was_trace = false;
@@ -872,6 +897,23 @@ impl HostTool {
                     self.next_poll_at = now + self.session.cfg.empty_poll_backoff_cycles;
                 }
             }
+        } else {
+            // Nothing affordable: the wanted set changes at the poll
+            // deadline, and each wanted exchange becomes affordable at
+            // the cycle the budget covers it.
+            let link = self.session.link();
+            let mut due = if now < self.next_poll_at {
+                self.next_poll_at
+            } else {
+                u64::MAX
+            };
+            if let (true, Some(cost)) = (want_write, write_cost) {
+                due = due.min(link.cycle_covering(cost).0);
+            }
+            if want_trace {
+                due = due.min(link.cycle_covering(trace_cost).0);
+            }
+            self.quiet_until = due;
         }
     }
 
@@ -1158,6 +1200,201 @@ mod tests {
         let bound = u64::from(cfg.max_consecutive_failures)
             * s.transaction_cycle_bound(16, Frame::wire_len(cfg.trace_chunk + 32));
         assert!(s.link().now().0 <= bound);
+    }
+
+    /// The per-cycle transmit loop `DapSession::transmit` replaced: one
+    /// link cycle per partial `take` until the frame fits.
+    fn transmit_by_steps(link: &mut DapLink, len: usize) {
+        let mut sent = 0;
+        loop {
+            sent += link.take(len - sent);
+            if sent == len {
+                break;
+            }
+            link.advance_cycles(1);
+        }
+    }
+
+    fn same_link(a: &DapLink, b: &DapLink) -> bool {
+        (a.now(), a.consumed_millibytes, a.transferred())
+            == (b.now(), b.consumed_millibytes, b.transferred())
+    }
+
+    #[test]
+    fn transmit_jumps_to_where_the_step_loop_ends() {
+        for pins in 1..=8u8 {
+            for efficiency in [0.8, 1.0 / 3.0] {
+                for mhz in [150, 133] {
+                    let dap = DapConfig {
+                        data_pins: pins,
+                        efficiency,
+                        cpu_clock: audo_common::Freq::mhz(mhz),
+                        ..DapConfig::default()
+                    };
+                    let mut s =
+                        DapSession::new(dap, SessionConfig::default(), FaultConfig::lossless());
+                    for k in 0..60u64 {
+                        // Idle gaps and partial budget use between frames.
+                        s.link.advance_cycles(k * 53 % 97);
+                        s.link.take((k % 5) as usize);
+                        let len = [1usize, 10, 17, 96, 280][k as usize % 5];
+                        let mut reference = s.link.clone();
+                        transmit_by_steps(&mut reference, len);
+                        s.transmit(len);
+                        assert!(
+                            same_link(&s.link, &reference),
+                            "pins {pins}, eff {efficiency}, {mhz} MHz, frame {k} ({len} B)"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    impl HostTool {
+        /// The pump as it was before the due-cycle gate: the full decision
+        /// on every cycle.
+        fn pump_per_cycle(&mut self, ep: &mut dyn DapEndpoint) {
+            self.session.link_mut().advance_cycles(1);
+            self.arbitrate(ep);
+        }
+    }
+
+    /// A device whose trace buffer fills while it runs, read out through
+    /// the replay window an Emulation Device's tool port keeps: bursts of
+    /// trace separated by silent stretches, a bounded buffer that drops
+    /// on overflow, and memory for overlay writes.
+    struct TracedDevice {
+        inner: MockEndpoint,
+        buffered: std::collections::VecDeque<u8>,
+        inflight: Vec<u8>,
+        base: u64,
+        produced: u64,
+    }
+
+    impl TracedDevice {
+        const CAPACITY: usize = 256;
+
+        fn new() -> TracedDevice {
+            TracedDevice {
+                inner: MockEndpoint::new(Vec::new()),
+                buffered: std::collections::VecDeque::new(),
+                inflight: Vec::new(),
+                base: 0,
+                produced: 0,
+            }
+        }
+
+        /// One target cycle: in the busy half of every 40,000 cycles, a
+        /// 2–9 byte message every 32 cycles on average.
+        fn run_cycle(&mut self, cycle: u64) {
+            let hash = cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            if cycle % 40_000 >= 20_000 || !hash.is_multiple_of(32) {
+                return;
+            }
+            for _ in 0..2 + hash % 8 {
+                if self.buffered.len() == Self::CAPACITY {
+                    self.inner.lost += 1;
+                } else {
+                    self.buffered.push_back(self.produced as u8);
+                }
+                self.produced += 1;
+            }
+        }
+    }
+
+    impl DapEndpoint for TracedDevice {
+        fn reg_read(&mut self, addr: u32) -> Result<u32, SimError> {
+            self.inner.reg_read(addr)
+        }
+        fn reg_write(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
+            self.inner.reg_write(addr, value)
+        }
+        fn block_read(&mut self, addr: u32, len: usize) -> Result<Vec<u8>, SimError> {
+            self.inner.block_read(addr, len)
+        }
+        fn block_write(&mut self, addr: u32, bytes: &[u8]) -> Result<(), SimError> {
+            self.inner.block_write(addr, bytes)
+        }
+        fn trace_read(&mut self, ack: u64, max: usize) -> Result<TraceChunk, SimError> {
+            let acked = usize::try_from(ack.saturating_sub(self.base))
+                .unwrap()
+                .min(self.inflight.len());
+            self.inflight.drain(..acked);
+            self.base += acked as u64;
+            let need = max
+                .saturating_sub(self.inflight.len())
+                .min(self.buffered.len());
+            self.inflight.extend(self.buffered.drain(..need));
+            let give = max.min(self.inflight.len());
+            Ok(TraceChunk {
+                base: self.base,
+                bytes: self.inflight[..give].to_vec(),
+                remaining: (self.inflight.len() - give + self.buffered.len()) as u64,
+                device_lost: self.inner.lost,
+            })
+        }
+    }
+
+    #[test]
+    fn gated_pump_matches_the_per_cycle_pump() {
+        let policies = [
+            ArbitrationPolicy::CalibrationFirst,
+            ArbitrationPolicy::TraceFirst,
+            ArbitrationPolicy::Alternate,
+        ];
+        for policy in policies {
+            for rate in [0.0, 1e-3, 2e-2] {
+                let faults = || {
+                    if rate > 0.0 {
+                        FaultConfig::uniform(rate, 0x5EED)
+                    } else {
+                        FaultConfig::lossless()
+                    }
+                };
+                let mut gated = HostTool::new(session(faults()), policy);
+                let mut per_cycle = HostTool::new(session(faults()), policy);
+                let (mut dev_g, mut dev_p) = (TracedDevice::new(), TracedDevice::new());
+                let overlay: Vec<u8> = (0..700u32).map(|i| (i * 13) as u8).collect();
+                let mut quiet = 0u64;
+                for cycle in 0..120_000u64 {
+                    if cycle == 27_001 {
+                        gated.queue_overlay_write(0x4000, &overlay);
+                        per_cycle.queue_overlay_write(0x4000, &overlay);
+                    }
+                    dev_g.run_cycle(cycle);
+                    dev_p.run_cycle(cycle);
+                    quiet += u64::from(gated.session.link().now().0 + 1 < gated.quiet_until);
+                    gated.pump(&mut dev_g);
+                    per_cycle.pump_per_cycle(&mut dev_p);
+                    assert_eq!(
+                        gated.session.stats(),
+                        per_cycle.session.stats(),
+                        "{policy:?}, fault rate {rate}, cycle {cycle}"
+                    );
+                    assert_eq!(
+                        gated.collected(),
+                        per_cycle.collected(),
+                        "{policy:?}, fault rate {rate}, cycle {cycle}"
+                    );
+                    assert!(
+                        same_link(gated.session.link(), per_cycle.session.link()),
+                        "{policy:?}, fault rate {rate}, cycle {cycle}"
+                    );
+                }
+                let st = gated.session.stats();
+                let at = format!("{policy:?}, fault rate {rate}");
+                assert!(st.drain_grants > 0 && st.overlay_grants > 0, "{at}");
+                if rate < 1e-2 {
+                    // At 2% most 256-byte write frames are damaged, and
+                    // the retries' link time lets the drain keep up.
+                    assert_eq!(st.overlay_bytes_written, 700, "{at}");
+                    assert_eq!(dev_g.block_read(0x4000, 700).unwrap(), overlay, "{at}");
+                    assert!(dev_g.inner.lost > 0, "{at}: the buffer overflowed");
+                }
+                assert!(quiet > 100_000, "{at}: the gate skipped {quiet} pumps");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@ pub const CHANNELS: usize = 8;
 /// Registers per channel context.
 pub const CTX_REGS: usize = 8;
 
+// One bit per channel in `Pcp::pending`.
+const _: () = assert!(CHANNELS <= u8::BITS as usize);
+
 /// A timed word-access port to the system crossbar, as seen by the PCP.
 pub trait PcpBus {
     /// Reads a 32-bit word; returns the value and its arrival cycle.
@@ -59,7 +62,6 @@ impl Default for PcpConfig {
 #[derive(Debug, Clone, Copy, Default)]
 struct Channel {
     entry: u16,
-    pending: bool,
     enabled: bool,
 }
 
@@ -104,6 +106,8 @@ pub struct Pcp {
     pram: Vec<u32>,
     regs: [[u32; CTX_REGS]; CHANNELS],
     channels: [Channel; CHANNELS],
+    /// Pending channels, bit `c` for channel `c`.
+    pending: u8,
     state: State,
     retired_total: u64,
     source: SourceId,
@@ -121,6 +125,7 @@ impl Pcp {
             pram,
             regs: [[0; CTX_REGS]; CHANNELS],
             channels: [Channel::default(); CHANNELS],
+            pending: 0,
             state: State::Idle,
             retired_total: 0,
             source: SourceId::PCP,
@@ -151,14 +156,14 @@ impl Pcp {
     /// Marks a channel pending (service request arrival).
     pub fn trigger(&mut self, ch: u8) {
         if self.channels[ch as usize].enabled {
-            self.channels[ch as usize].pending = true;
+            self.pending |= 1 << ch;
         }
     }
 
     /// `true` while any channel is pending or executing.
     #[must_use]
     pub fn is_busy(&self) -> bool {
-        self.state != State::Idle || self.channels.iter().any(|c| c.pending)
+        self.state != State::Idle || self.pending != 0
     }
 
     /// Total instructions retired since reset.
@@ -179,16 +184,26 @@ impl Pcp {
         self.pram[idx as usize]
     }
 
-    fn next_pending(&self) -> Option<u8> {
-        (0..CHANNELS as u8).find(|&c| self.channels[c as usize].pending)
-    }
-
-    /// Advances the PCP by one cycle.
+    /// Advances the PCP by one cycle. An idle PCP with nothing pending
+    /// returns at once.
     ///
     /// # Errors
     ///
     /// Returns decode errors and FPI access faults.
+    #[inline]
     pub fn step<B: PcpBus>(
+        &mut self,
+        now: Cycle,
+        bus: &mut B,
+        sink: &mut EventSink,
+    ) -> Result<PcpStep, SimError> {
+        if self.state == State::Idle && self.pending == 0 {
+            return Ok(PcpStep::default());
+        }
+        self.step_busy(now, bus, sink)
+    }
+
+    fn step_busy<B: PcpBus>(
         &mut self,
         now: Cycle,
         bus: &mut B,
@@ -197,14 +212,16 @@ impl Pcp {
         let mut out = PcpStep::default();
         match self.state {
             State::Idle => {
-                if let Some(ch) = self.next_pending() {
-                    self.channels[ch as usize].pending = false;
-                    self.state = State::Switching {
-                        ch,
-                        until: now + self.cfg.ctx_switch_cycles,
-                    };
-                    sink.emit(now, self.source, PerfEvent::PcpChannelStart { channel: ch });
-                }
+                // The lowest-numbered pending channel wins.
+                // reason: `pending` is non-zero here, so the count is < 8.
+                #[allow(clippy::cast_possible_truncation)]
+                let ch = self.pending.trailing_zeros() as u8;
+                self.pending &= !(1 << ch);
+                self.state = State::Switching {
+                    ch,
+                    until: now + self.cfg.ctx_switch_cycles,
+                };
+                sink.emit(now, self.source, PerfEvent::PcpChannelStart { channel: ch });
             }
             State::Switching { ch, until } => {
                 if now >= until {
@@ -508,6 +525,43 @@ mod tests {
         let mut pcp = Pcp::new(PcpConfig::default());
         pcp.trigger(4);
         assert!(!pcp.is_busy());
+    }
+
+    #[test]
+    fn pending_mask_serves_lowest_first_and_skips_disabled() {
+        let mut b = ProgramBuilder::new();
+        b.push(PcpInstr::Exit);
+        let words = b.finish(0);
+        let mut pcp = Pcp::new(PcpConfig::default());
+        pcp.load_program(0, &words);
+        pcp.setup_channel(6, 0);
+        pcp.setup_channel(1, 0);
+        // One cycle's triggers: channel 4 was never enabled.
+        pcp.trigger(6);
+        pcp.trigger(4);
+        pcp.trigger(1);
+        let mut bus = TestPcpBus::default();
+        let mut sink = EventSink::new();
+        let mut cyc = 0;
+        while pcp.is_busy() {
+            pcp.step(Cycle(cyc), &mut bus, &mut sink).unwrap();
+            cyc += 1;
+            assert!(cyc < 1000);
+        }
+        let starts: Vec<u8> = sink
+            .records()
+            .iter()
+            .filter_map(|r| match r.event {
+                PerfEvent::PcpChannelStart { channel } => Some(channel),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(starts, vec![1, 6]);
+        // Idle with nothing pending: a step does nothing.
+        let before = sink.records().len();
+        let out = pcp.step(Cycle(cyc), &mut bus, &mut sink).unwrap();
+        assert_eq!(out, PcpStep::default());
+        assert_eq!(sink.records().len(), before);
     }
 
     #[test]

@@ -57,11 +57,18 @@ impl DmaChannel {
 /// The DMA controller's channel bank.
 #[derive(Debug, Clone, Default)]
 pub struct DmaState {
-    /// The channels.
-    pub ch: [DmaChannel; DMA_CHANNELS],
+    /// The channels. Only this type's methods change them, so `ready`
+    /// stays in step; [`DmaState::channels`] reads them.
+    ch: [DmaChannel; DMA_CHANNELS],
     /// Engine busy until this cycle (single move engine).
     pub busy_until: u64,
+    /// Channels with work, bit `c` for channel `c`: enabled, with a
+    /// pending request and a non-zero count.
+    ready: u8,
 }
+
+// One bit per channel in `DmaState::ready`.
+const _: () = assert!(DMA_CHANNELS <= u8::BITS as usize);
 
 impl DmaState {
     /// Creates an idle controller.
@@ -70,20 +77,69 @@ impl DmaState {
         DmaState::default()
     }
 
+    /// The channels' programming and live state.
+    #[must_use]
+    pub fn channels(&self) -> &[DmaChannel; DMA_CHANNELS] {
+        &self.ch
+    }
+
     /// Registers a transfer request (one beat) on `channel`.
     pub fn request(&mut self, channel: u8) {
-        let c = &mut self.ch[channel as usize % DMA_CHANNELS];
+        let chi = channel as usize % DMA_CHANNELS;
+        let c = &mut self.ch[chi];
         if c.enabled {
             c.pending = c.pending.saturating_add(1);
+            self.refresh(chi);
+        }
+    }
+
+    /// Recomputes channel `chi`'s `ready` bit.
+    fn refresh(&mut self, chi: usize) {
+        let c = &self.ch[chi];
+        let bit = 1u8 << chi;
+        if c.enabled && c.pending > 0 && c.count > 0 {
+            self.ready |= bit;
+        } else {
+            self.ready &= !bit;
         }
     }
 
     /// Picks the next channel with work (lowest number wins).
+    #[inline]
     #[must_use]
     pub fn next_ready(&self) -> Option<usize> {
-        self.ch
-            .iter()
-            .position(|c| c.enabled && c.pending > 0 && c.count > 0)
+        let next = (self.ready != 0).then(|| self.ready.trailing_zeros() as usize);
+        debug_assert_eq!(
+            next,
+            self.ch
+                .iter()
+                .position(|c| c.enabled && c.pending > 0 && c.count > 0),
+            "ready mask out of step with the channels"
+        );
+        next
+    }
+
+    /// Books one moved beat on channel `chi`: steps its addresses and
+    /// counts, and at the end of the block reloads a circular channel or
+    /// disables it. Returns `true` when the block completed.
+    pub(crate) fn retire_beat(&mut self, chi: usize) -> bool {
+        let ch = &mut self.ch[chi];
+        ch.src = ch.src.wrapping_add(ch.src_inc as u32);
+        ch.dst = ch.dst.wrapping_add(ch.dst_inc as u32);
+        ch.pending -= 1;
+        ch.count -= 1;
+        ch.beats_done += 1;
+        let done = ch.count == 0;
+        if done {
+            if ch.circular {
+                ch.reload();
+            } else {
+                ch.enabled = false;
+                ch.pending = 0;
+            }
+        }
+        self.refresh(chi);
+        done
     }
 
     /// MMIO read. Register stride is 0x20 per channel.
@@ -139,6 +195,7 @@ impl DmaState {
             }
             _ => {}
         }
+        self.refresh(chi as usize);
     }
 }
 

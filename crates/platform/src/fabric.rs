@@ -621,7 +621,11 @@ impl Fabric {
     // ------------------------------------------------------------------
 
     /// Advances peripherals, the flash prefetcher, interrupt dispatch and
-    /// the DMA engine by one cycle. Returns PCP channels to trigger.
+    /// the DMA engine by one cycle. Returns PCP channels to trigger. The
+    /// peripherals, the prefetcher and the DMA engine cost one test on a
+    /// cycle where they cannot act; their work runs only on its due cycle
+    /// (a timer match, a conversion, message or tooth due, a fill landing
+    /// or the bank freeing up, a ready DMA channel).
     ///
     /// # Errors
     ///
@@ -639,18 +643,18 @@ impl Fabric {
             Service::Dma { channel } => dma.request(channel),
             Service::Cpu => {}
         });
-        self.step_dma(now)?;
+        if now.0 >= self.dma.busy_until {
+            if let Some(chi) = self.dma.next_ready() {
+                self.dma_beat(now, chi)?;
+            }
+        }
         Ok(&self.pcp_triggers)
     }
 
-    fn step_dma(&mut self, now: Cycle) -> Result<(), SimError> {
-        if now.0 < self.dma.busy_until {
-            return Ok(());
-        }
-        let Some(chi) = self.dma.next_ready() else {
-            return Ok(());
-        };
-        let (src, dst) = (self.dma.ch[chi].src, self.dma.ch[chi].dst);
+    /// Moves one beat on DMA channel `chi`.
+    fn dma_beat(&mut self, now: Cycle, chi: usize) -> Result<(), SimError> {
+        let ch = &self.dma.channels()[chi];
+        let (src, dst) = (ch.src, ch.dst);
         let (v, ready) =
             self.data_access(now, SourceId::DMA, Addr(src), 4, AccessKind::Read, None)?;
         let (_, accepted) = self.data_access(
@@ -668,21 +672,8 @@ impl Fabric {
             SourceId::DMA,
             PerfEvent::DmaBeat { channel: chi as u8 },
         );
-        let ch = &mut self.dma.ch[chi];
-        ch.src = ch.src.wrapping_add(ch.src_inc as u32);
-        ch.dst = ch.dst.wrapping_add(ch.dst_inc as u32);
-        ch.pending -= 1;
-        ch.count -= 1;
-        ch.beats_done += 1;
-        if ch.count == 0 {
-            let done_srn = ch.done_srn;
-            let circular = ch.circular;
-            if circular {
-                ch.reload();
-            } else {
-                ch.enabled = false;
-                ch.pending = 0;
-            }
+        if self.dma.retire_beat(chi) {
+            let done_srn = self.dma.channels()[chi].done_srn;
             self.sink.emit(
                 now,
                 SourceId::DMA,
@@ -1057,7 +1048,10 @@ mod tests {
         }
         assert_eq!(f.irq.cpu_pending(), Some(1), "done SRN raised");
         assert_eq!(f.dma_beats(), 4);
-        assert!(!f.dma.ch[0].enabled, "non-circular channel disables itself");
+        assert!(
+            !f.dma.channels()[0].enabled,
+            "non-circular channel disables itself"
+        );
     }
 
     #[test]

@@ -44,6 +44,16 @@ pub struct FlashTiming {
     last_code_activity: Cycle,
     last_winner: Option<FlashPort>,
     tick: u64,
+    /// The most recently touched or installed line (the valid buffer with
+    /// the highest `lru`, since every touch and install takes a new tick).
+    mru_tag: Option<u32>,
+    /// The first cycle at which [`FlashTiming::step`] can act: the
+    /// in-flight fill's completion, the end of a busy bank, or never once
+    /// nothing is left to prefetch (the MRU line's successor buffered, or
+    /// prefetch off). Only `access` changes the fill, the bank or the
+    /// buffers outside `step`, and it sets this to the fill's completion
+    /// or the bank's free cycle.
+    step_due: Cycle,
     // Ground-truth counters.
     buffer_hits: u64,
     buffer_misses: u64,
@@ -64,6 +74,8 @@ impl FlashTiming {
             last_code_activity: Cycle::ZERO,
             last_winner: None,
             tick: 0,
+            mru_tag: None,
+            step_due: Cycle::ZERO,
             buffer_hits: 0,
             buffer_misses: 0,
             prefetches: 0,
@@ -81,9 +93,11 @@ impl FlashTiming {
     fn touch(&mut self, idx: usize) {
         self.tick += 1;
         self.bufs[idx].lru = self.tick;
+        self.mru_tag = Some(self.bufs[idx].tag);
     }
 
     fn install(&mut self, tag: u32) {
+        self.mru_tag = Some(tag);
         self.tick += 1;
         let tick = self.tick;
         let victim = self
@@ -161,6 +175,14 @@ impl FlashTiming {
         port: FlashPort,
         sink: &mut EventSink,
     ) -> Cycle {
+        let ready = self.serve(now, addr, port, sink);
+        // The fill and the bank may have changed and the buffers have: no
+        // step can act before the fill lands or the bank frees up.
+        self.step_due = self.in_flight.map_or(self.bank_busy_until, |f| f.ready_at);
+        ready
+    }
+
+    fn serve(&mut self, now: Cycle, addr: Addr, port: FlashPort, sink: &mut EventSink) -> Cycle {
         self.retire_fill(now);
         match port {
             FlashPort::Data => self.last_data_activity = now,
@@ -251,21 +273,34 @@ impl FlashTiming {
     }
 
     /// Emits a [`PerfEvent::FlashPrefetch`] accounting event and runs the
-    /// lazy prefetch engine; call once per cycle from the fabric.
+    /// lazy prefetch engine; call once per cycle from the fabric. Before
+    /// its due cycle a step does nothing: until a fill completes or the
+    /// bank frees up, every step would find the bank occupied.
+    #[inline]
     pub fn step(&mut self, now: Cycle, sink: &mut EventSink) {
+        if now >= self.step_due {
+            self.step_prefetch(now, sink);
+        }
+    }
+
+    fn step_prefetch(&mut self, now: Cycle, sink: &mut EventSink) {
         self.retire_fill(now);
-        // Lazy sequential prefetch: if the bank is idle and the most
-        // recently used buffer's successor line is absent, fetch it.
-        if !self.cfg.prefetch || self.in_flight.is_some() || self.bank_busy_until > now {
+        if let Some(f) = self.in_flight {
+            self.step_due = f.ready_at;
             return;
         }
-        let Some(mru) = self
-            .bufs
-            .iter()
-            .filter(|b| b.valid)
-            .max_by_key(|b| b.lru)
-            .map(|b| b.tag)
-        else {
+        if self.bank_busy_until > now {
+            self.step_due = self.bank_busy_until;
+            return;
+        }
+        // Lazy sequential prefetch: if the bank is idle and the most
+        // recently used buffer's successor line is absent, fetch it.
+        // Otherwise nothing changes until the next `access`.
+        self.step_due = Cycle(u64::MAX);
+        if !self.cfg.prefetch {
+            return;
+        }
+        let Some(mru) = self.mru_tag else {
             return;
         };
         let next = mru + 1;
@@ -279,6 +314,7 @@ impl FlashTiming {
             ready_at: ready,
             speculative: true,
         });
+        self.step_due = ready;
         self.prefetches += 1;
         sink.emit(now, SourceId::PMU, PerfEvent::FlashPrefetch);
     }
@@ -369,6 +405,108 @@ mod tests {
         let r1 = f.access(Cycle(20), Addr(0x020), FlashPort::Code, &mut sink);
         assert_eq!(r1, Cycle(20), "sequential line served from prefetch buffer");
         assert!(f.stats().2 >= 1, "prefetch counted");
+    }
+
+    #[test]
+    fn access_after_an_idle_decision_rearms_the_prefetch() {
+        let mut pf_cfg = cfg();
+        pf_cfg.prefetch = true;
+        let mut f = FlashTiming::new(pf_cfg);
+        let mut sink = EventSink::new();
+        // Lines 1 then 0 demand-filled: the MRU line 0's successor is
+        // buffered, so the prefetcher finds nothing to do.
+        f.access(Cycle(0), Addr(0x020), FlashPort::Code, &mut sink);
+        f.access(Cycle(5), Addr(0x000), FlashPort::Code, &mut sink);
+        for c in 6..20 {
+            f.step(Cycle(c), &mut sink);
+        }
+        assert_eq!(f.step_due, Cycle(u64::MAX), "nothing left to prefetch");
+        assert_eq!(f.stats().2, 0);
+        // A demand miss on line 5: once it lands, line 6 is missing.
+        assert_eq!(
+            f.access(Cycle(20), Addr(0x0A0), FlashPort::Code, &mut sink),
+            Cycle(25)
+        );
+        assert_eq!(f.step_due, Cycle(25), "an access re-arms the prefetcher");
+        for c in 21..31 {
+            f.step(Cycle(c), &mut sink);
+        }
+        assert_eq!(f.stats().2, 2, "lines 6 and 7 prefetched");
+        assert!(sink
+            .records()
+            .iter()
+            .any(|r| r.event == PerfEvent::FlashPrefetch && r.cycle == Cycle(25)));
+        assert_eq!(
+            f.access(Cycle(31), Addr(0x0C0), FlashPort::Code, &mut sink),
+            Cycle(31),
+            "line 6 served from the prefetch buffer"
+        );
+    }
+
+    #[test]
+    fn gated_step_matches_stepping_every_cycle() {
+        let arbitrations = [
+            PortArbitration::CodeFirst,
+            PortArbitration::DataFirst,
+            PortArbitration::RoundRobin,
+        ];
+        for (k, arbitration) in arbitrations.into_iter().enumerate() {
+            for read_buffers in 1..=3 {
+                for wait_states in [0, 1, 5] {
+                    for prefetch in [false, true] {
+                        let cfg = FlashConfig {
+                            wait_states,
+                            line_bytes: 32,
+                            read_buffers,
+                            prefetch,
+                            arbitration,
+                        };
+                        let mut gated = FlashTiming::new(cfg.clone());
+                        let mut every = FlashTiming::new(cfg);
+                        let (mut sink_g, mut sink_e) = (EventSink::new(), EventSink::new());
+                        let mut x = 0x2545_F491_u32 + k as u32;
+                        let mut pc = 0u32;
+                        for c in 0..4_000u64 {
+                            x ^= x << 13;
+                            x ^= x >> 17;
+                            x ^= x << 5;
+                            if x.is_multiple_of(5) {
+                                // Mostly sequential code, some jumps, some data.
+                                let (addr, port) = match x % 7 {
+                                    0 => ((x % 0x400) & !3, FlashPort::Data),
+                                    1 => {
+                                        pc = (x % 0x800) & !3;
+                                        (pc, FlashPort::Code)
+                                    }
+                                    _ => {
+                                        pc += 8;
+                                        (pc, FlashPort::Code)
+                                    }
+                                };
+                                let now = Cycle(c);
+                                assert_eq!(
+                                    gated.access(now, Addr(addr), port, &mut sink_g),
+                                    every.access(now, Addr(addr), port, &mut sink_e),
+                                    "cycle {c}"
+                                );
+                            }
+                            gated.step(Cycle(c), &mut sink_g);
+                            every.step_prefetch(Cycle(c), &mut sink_e);
+                            let scanned = every
+                                .bufs
+                                .iter()
+                                .filter(|b| b.valid)
+                                .max_by_key(|b| b.lru)
+                                .map(|b| b.tag);
+                            assert_eq!(every.mru_tag, scanned, "cycle {c}");
+                        }
+                        assert_eq!(gated.stats(), every.stats());
+                        assert_eq!(sink_g.records(), sink_e.records());
+                        assert_eq!(every.stats().2 > 0, prefetch, "prefetches ran");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub struct IrqRouter {
     cfg: [SrnConfig; N_SRN],
     /// Pending requests, bit `i` = SRN `i`.
     pending: u32,
-    raised_count: u64,
 }
 
 impl Default for IrqRouter {
@@ -90,7 +89,6 @@ impl IrqRouter {
         IrqRouter {
             cfg: [SrnConfig::default(); N_SRN],
             pending: 0,
-            raised_count: 0,
         }
     }
 
@@ -118,7 +116,6 @@ impl IrqRouter {
         let bit = 1u32 << srn;
         if self.pending & bit == 0 {
             self.pending |= bit;
-            self.raised_count += 1;
             sink.emit(
                 now,
                 SourceId::IRQ,
@@ -163,12 +160,6 @@ impl IrqRouter {
             (c.prio > 0 && matches!(c.service, Service::Cpu)).then_some((i, c.prio))
         })
     }
-
-    /// Lifetime count of raised (enabled) requests.
-    #[must_use]
-    pub fn raised_total(&self) -> u64 {
-        self.raised_count
-    }
 }
 
 /// Indices of the set bits of `mask`, ascending; empty (no work) when
@@ -191,6 +182,14 @@ mod tests {
         EventSink::new()
     }
 
+    /// Requests that were raised (each emits one `IrqRaised` event).
+    fn raised(s: &EventSink) -> usize {
+        s.records()
+            .iter()
+            .filter(|r| matches!(r.event, PerfEvent::IrqRaised { .. }))
+            .count()
+    }
+
     /// Consumes the pending PCP/DMA requests, in dispatch order.
     fn dispatched(r: &mut IrqRouter) -> Vec<Service> {
         let mut out = Vec::new();
@@ -204,7 +203,7 @@ mod tests {
         let mut s = sink();
         r.raise(3, Cycle(0), &mut s);
         assert_eq!(r.cpu_pending(), None);
-        assert_eq!(r.raised_total(), 0);
+        assert_eq!(raised(&s), 0);
     }
 
     #[test]
@@ -250,10 +249,10 @@ mod tests {
         );
         r.raise(0, Cycle(0), &mut s);
         r.raise(0, Cycle(1), &mut s);
-        assert_eq!(r.raised_total(), 1);
+        assert_eq!(raised(&s), 1);
         r.acknowledge_cpu(1);
         r.raise(0, Cycle(2), &mut s);
-        assert_eq!(r.raised_total(), 2);
+        assert_eq!(raised(&s), 2);
     }
 
     #[test]
@@ -306,7 +305,7 @@ mod tests {
         r.configure(31, cpu(9));
         r.raise(0, Cycle(0), &mut s);
         r.raise(31, Cycle(0), &mut s);
-        assert_eq!(r.raised_total(), 2);
+        assert_eq!(raised(&s), 2);
         assert_eq!(r.cpu_pending(), Some(9));
         r.acknowledge_cpu(9);
         assert_eq!(r.cpu_pending(), Some(2));
@@ -314,7 +313,7 @@ mod tests {
         assert_eq!(r.cpu_pending(), None);
         // Both bits are clear again: a new raise counts and emits.
         r.raise(31, Cycle(1), &mut s);
-        assert_eq!(r.raised_total(), 3);
+        assert_eq!(raised(&s), 3);
         assert_eq!(s.records().len(), 3);
     }
 
@@ -329,9 +328,9 @@ mod tests {
         r.acknowledge_cpu(4);
         // SRN 6 was consumed: raising it again counts, SRN 20 does not.
         r.raise(20, Cycle(1), &mut s);
-        assert_eq!(r.raised_total(), 2, "SRN 20 still pending");
+        assert_eq!(raised(&s), 2, "SRN 20 still pending");
         r.raise(6, Cycle(1), &mut s);
-        assert_eq!(r.raised_total(), 3, "SRN 6 was acknowledged");
+        assert_eq!(raised(&s), 3, "SRN 6 was acknowledged");
         r.acknowledge_cpu(4);
         r.acknowledge_cpu(4);
         assert_eq!(r.cpu_pending(), None);
@@ -401,7 +400,7 @@ mod tests {
         );
         r.raise(10, Cycle(0), &mut s);
         assert_eq!(r.pending, 0);
-        assert_eq!(r.raised_total(), 0);
+        assert_eq!(raised(&s), 0);
         assert!(s.records().is_empty());
         // Enabling later does not resurrect the dropped requests.
         r.configure(9, cpu(5));

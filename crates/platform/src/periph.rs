@@ -66,8 +66,18 @@ pub struct Stm {
 
 impl Stm {
     /// Advances the timer one cycle and raises compare interrupts.
+    #[inline]
     pub fn step(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
         self.tim = now.0;
+        let lo = self.tim as u32;
+        if (self.irq_enable[0] && lo == self.cmp[0]) || (self.irq_enable[1] && lo == self.cmp[1]) {
+            self.fire(now, irq, sink);
+        }
+    }
+
+    /// The due cycle's work, out of the per-cycle path.
+    #[cold]
+    fn fire(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
         let lo = self.tim as u32;
         for ch in 0..2 {
             if self.irq_enable[ch] && lo == self.cmp[ch] {
@@ -164,23 +174,27 @@ impl Adc {
     }
 
     /// Advances one cycle; fires a conversion when the period elapses.
+    #[inline]
     pub fn step(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
-        if !self.enabled {
-            return;
+        if self.enabled && now.0 >= self.next_fire {
+            self.fire(now, irq, sink);
         }
-        if now.0 >= self.next_fire {
-            self.next_fire = now.0 + u64::from(self.period.max(1));
-            let ch = self.chan_cursor;
-            self.chan_cursor = (self.chan_cursor + 1) % self.channels.max(1);
-            let value = self.sample(now.0, ch);
-            if self.fifo.len() >= ADC_FIFO_DEPTH {
-                self.overrun = true;
-                self.fifo.pop_front();
-            }
-            self.fifo.push_back(value | (u32::from(ch) << 16));
-            self.conversions += 1;
-            irq.raise(srn::ADC, now, sink);
+    }
+
+    /// The due cycle's work, out of the per-cycle path.
+    #[cold]
+    fn fire(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
+        self.next_fire = now.0 + u64::from(self.period.max(1));
+        let ch = self.chan_cursor;
+        self.chan_cursor = (self.chan_cursor + 1) % self.channels.max(1);
+        let value = self.sample(now.0, ch);
+        if self.fifo.len() >= ADC_FIFO_DEPTH {
+            self.overrun = true;
+            self.fifo.pop_front();
         }
+        self.fifo.push_back(value | (u32::from(ch) << 16));
+        self.conversions += 1;
+        irq.raise(srn::ADC, now, sink);
     }
 
     /// MMIO read (popping the FIFO at the RESULT offset).
@@ -271,20 +285,24 @@ impl CanRx {
     }
 
     /// Advances one cycle; delivers a message when due.
+    #[inline]
     pub fn step(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
-        if !self.enabled {
-            return;
+        if self.enabled && now.0 >= self.next_fire {
+            self.fire(now, irq, sink);
         }
-        if now.0 >= self.next_fire {
-            let j = self.rng.below(2 * self.jitter + 1) as i64 - i64::from(self.jitter);
-            let gap = (i64::from(self.period.max(1)) + j).max(1) as u64;
-            self.next_fire = now.0 + gap;
-            self.count = self.count.wrapping_add(1);
-            self.msg_id = 0x100 + (self.count % 8);
-            self.msg_data[0] = self.rng.next_u32();
-            self.msg_data[1] = self.count;
-            irq.raise(srn::CAN, now, sink);
-        }
+    }
+
+    /// The due cycle's work, out of the per-cycle path.
+    #[cold]
+    fn fire(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
+        let j = self.rng.below(2 * self.jitter + 1) as i64 - i64::from(self.jitter);
+        let gap = (i64::from(self.period.max(1)) + j).max(1) as u64;
+        self.next_fire = now.0 + gap;
+        self.count = self.count.wrapping_add(1);
+        self.msg_id = 0x100 + (self.count % 8);
+        self.msg_data[0] = self.rng.next_u32();
+        self.msg_data[1] = self.count;
+        irq.raise(srn::CAN, now, sink);
     }
 
     /// MMIO read.
@@ -366,17 +384,21 @@ impl Crank {
     }
 
     /// Advances one cycle; raises tooth/TDC events when due.
+    #[inline]
     pub fn step(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
-        if !self.enabled {
-            return;
+        if self.enabled && now.0 >= self.next_tooth {
+            self.fire(now, irq, sink);
         }
-        if now.0 >= self.next_tooth {
-            self.next_tooth = now.0 + self.tooth_period();
-            self.tooth_count = self.tooth_count.wrapping_add(1);
-            irq.raise(srn::CRANK, now, sink);
-            if self.tooth_count.is_multiple_of(self.teeth.max(1)) {
-                irq.raise(srn::TDC, now, sink);
-            }
+    }
+
+    /// The due cycle's work, out of the per-cycle path.
+    #[cold]
+    fn fire(&mut self, now: Cycle, irq: &mut IrqRouter, sink: &mut EventSink) {
+        self.next_tooth = now.0 + self.tooth_period();
+        self.tooth_count = self.tooth_count.wrapping_add(1);
+        irq.raise(srn::CRANK, now, sink);
+        if self.tooth_count.is_multiple_of(self.teeth.max(1)) {
+            irq.raise(srn::TDC, now, sink);
         }
     }
 

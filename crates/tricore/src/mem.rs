@@ -13,8 +13,17 @@
 //! mapped length: the SoC maps megabytes of flash, SRAM and EMEM per
 //! session, of which a workload writes a small part. Bytes past the
 //! prefix read as zero; see [`FlatMem::add_region`].
+//!
+//! A dropped region hands its buffer to a small per-thread spare list,
+//! and the next region of the same length on that thread takes it
+//! instead of allocating. A host that runs session after session (a
+//! fleet, a fuzz campaign) then keeps one buffer per region length for
+//! its whole life: the megabyte-sized reservations are not freed and
+//! re-placed in the allocator's heap per session, so the pages the
+//! sessions write stay the same few pages, and the host's resident set
+//! does not creep up with the number of sessions it has run.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use audo_common::{Addr, SimError};
 
@@ -46,13 +55,57 @@ struct Region {
 /// most one page past the highest byte written.
 const GROW: usize = 4096;
 
+/// Most region buffers one thread keeps for reuse: a SoC maps six
+/// regions, and a fleet mixes two derivatives.
+const MAX_SPARE: usize = 16;
+
+thread_local! {
+    /// Empty buffers of dropped regions, each with its capacity as it was
+    /// reserved (a region's mapped length).
+    static SPARE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Region {
+    /// A region with an empty prefix and a whole-region reservation: a
+    /// spare buffer of exactly `len` bytes if this thread has one, else a
+    /// new one.
     fn new(len: usize) -> Region {
+        let spare = SPARE
+            .try_with(|spare| {
+                let mut spare = spare.borrow_mut();
+                let at = spare.iter().rposition(|b| b.capacity() == len)?;
+                Some(spare.swap_remove(at))
+            })
+            .ok()
+            .flatten();
         Region {
             len,
-            bytes: Vec::with_capacity(len),
+            bytes: spare.unwrap_or_else(|| Vec::with_capacity(len)),
             generation: 0,
         }
+    }
+}
+
+impl Drop for Region {
+    /// Empties the buffer and keeps it for the next region of its length
+    /// (bytes past a prefix are never read, and a growing prefix
+    /// zero-fills, so stale contents cannot show).
+    fn drop(&mut self) {
+        let mut bytes = std::mem::take(&mut self.bytes);
+        if bytes.capacity() == 0 {
+            return;
+        }
+        bytes.clear();
+        // `try_with`: the list may already be gone during thread teardown.
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() == MAX_SPARE {
+                // The oldest goes, so a length no longer mapped is not
+                // pinned for the thread's life.
+                spare.remove(0);
+            }
+            spare.push(bytes);
+        });
     }
 }
 
@@ -582,6 +635,27 @@ mod tests {
         assert_eq!(b.len(), 0x3000);
         assert_eq!(m.read(Addr(0x2040), 4).unwrap(), 0xDEAD_BEEF);
         assert_eq!(m.read_byte(Addr(0x3000)).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_dropped_region_buffer_serves_the_next_region_of_its_length() {
+        let mut m = FlatMem::new();
+        m.add_region(Addr(0x1000), 0x3000);
+        m.write_bytes(Addr(0x1000), &[7; 0x100]).unwrap();
+        let ptr = m.regions[0].1.bytes.as_ptr();
+        drop(m);
+        let mut other = FlatMem::new();
+        other.add_region(Addr(0x1000), 0x2000);
+        assert_ne!(other.regions[0].1.bytes.as_ptr(), ptr, "another length");
+        let mut n = FlatMem::new();
+        n.add_region(Addr(0x8000), 0x3000);
+        let b = &n.regions[0].1.bytes;
+        assert_eq!((b.as_ptr(), b.len(), b.capacity()), (ptr, 0, 0x3000));
+        // The last user's bytes never show, before or after the prefix grows.
+        assert_eq!(n.read(Addr(0x8000), 4).unwrap(), 0);
+        n.write_byte(Addr(0x8200), 1).unwrap();
+        assert_eq!(n.read(Addr(0x8000), 4).unwrap(), 0);
+        assert_eq!(n.read_byte(Addr(0x8200)).unwrap(), 1);
     }
 
     #[test]

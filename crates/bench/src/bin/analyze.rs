@@ -132,10 +132,16 @@ const ASM_MAX_CYCLES: u64 = 5_000_000;
 /// Seeded generated programs the `wcet_static` rows analyze.
 const WCET_PROGRAMS: u64 = 1000;
 
+/// Passes over the three workloads per rep of the `analyze` row: one pass
+/// takes about 0.2 ms, too short to time against host noise, so a rep
+/// runs tens of milliseconds.
+const ANALYZE_PASSES: u64 = 200;
+
 /// Times the full static pipeline over the named workloads and the WCET
 /// static part over generated programs, and writes the throughput
-/// artifact. Images are built outside the timed region; each pass runs
-/// `REPS` times and every pass must see the same work.
+/// artifact. Images are built outside the timed region; each rep runs
+/// [`ANALYZE_PASSES`] passes, `REPS` reps in all, and every rep must see
+/// the same work (blocks × passes).
 fn run_bench(cfg: &SocConfig, path: &str) -> Result<(), String> {
     const REPS: usize = 11;
     let mut prepared = Vec::new();
@@ -150,12 +156,14 @@ fn run_bench(cfg: &SocConfig, path: &str) -> Result<(), String> {
     let (ns, blocks) = measure(REPS, &["pass"], |_| {
         time(|| {
             let mut blocks = 0u64;
-            for (image, masters, name) in &prepared {
-                let a = audo_analyze::analyze(image, cfg, masters, name);
-                let model = CostModel::new(cfg.cpu.clone(), wcet::soc_mem_costs(cfg));
-                let report = wcet::analyze_wcet(&a.cfg, &a.sol, &model, CSA_AREAS, name);
-                blocks += a.cfg.blocks.len() as u64;
-                std::hint::black_box(&report);
+            for _ in 0..ANALYZE_PASSES {
+                for (image, masters, name) in &prepared {
+                    let a = audo_analyze::analyze(image, cfg, masters, name);
+                    let model = CostModel::new(cfg.cpu.clone(), wcet::soc_mem_costs(cfg));
+                    let report = wcet::analyze_wcet(&a.cfg, &a.sol, &model, CSA_AREAS, name);
+                    blocks += a.cfg.blocks.len() as u64;
+                    std::hint::black_box(&report);
+                }
             }
             blocks
         })

@@ -30,12 +30,14 @@ impl Cycle {
 
     /// Returns `self - other` clamped at zero, as a raw cycle count.
     #[must_use]
+    #[inline(always)]
     pub fn saturating_sub(self, other: Cycle) -> u64 {
         self.0.saturating_sub(other.0)
     }
 
     /// Returns the later of two time points.
     #[must_use]
+    #[inline(always)]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
@@ -191,12 +193,6 @@ impl Freq {
     pub fn cycles_per_micro(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Converts a duration in cycles of this clock to seconds.
-    #[must_use]
-    pub fn cycles_to_secs(self, cycles: u64) -> f64 {
-        cycles as f64 / self.0 as f64
-    }
 }
 
 impl fmt::Display for Freq {
@@ -299,7 +295,6 @@ mod tests {
     fn freq_conversions() {
         let f = Freq::mhz(150);
         assert_eq!(f.as_mhz(), 150.0);
-        assert_eq!(f.cycles_to_secs(150_000_000), 1.0);
         assert_eq!(f.to_string(), "150MHz");
     }
 

@@ -51,15 +51,6 @@ impl ProbeMap {
         self.entries.iter().map(|(m, p, c)| (*m, p.as_slice(), *c))
     }
 
-    /// Probe indices of a metric (first match).
-    #[must_use]
-    pub fn probes_of(&self, metric: Metric) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .find(|(m, _, _)| *m == metric)
-            .map(|(_, p, _)| p.as_slice())
-    }
-
     /// Number of mapped metrics.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -327,8 +318,11 @@ mod tests {
             .metric(Metric::Ipc, 1000)
             .metric(Metric::IcacheHitRatio, 500);
         let (_, map) = spec.compile().unwrap();
-        assert_eq!(map.probes_of(Metric::Ipc), Some(&[0u8][..]));
-        assert_eq!(map.probes_of(Metric::IcacheHitRatio), Some(&[1u8, 2][..]));
+        let probes: Vec<_> = map.iter().map(|(m, p, _)| (m, p.to_vec())).collect();
+        assert_eq!(
+            probes,
+            [(Metric::Ipc, vec![0]), (Metric::IcacheHitRatio, vec![1, 2])]
+        );
         assert_eq!(map.len(), 2);
     }
 

@@ -30,7 +30,7 @@
 pub mod tool_port;
 pub mod trace_ctrl;
 
-use audo_common::{Addr, Cycle, EventRecord, SimError};
+use audo_common::{Addr, Cycle, SimError};
 use audo_mcds::Mcds;
 use audo_platform::config::{SocConfig, EMEM_BASE};
 use audo_platform::fabric::{Fabric, OvcEntry};
@@ -277,26 +277,6 @@ impl EmulationDevice {
         }
     }
 
-    /// Runs to halt, collecting ground-truth events and draining the trace
-    /// with unlimited bandwidth. Returns `(cycles, trace bytes, events)` —
-    /// the standard harness for methodology-validation tests.
-    ///
-    /// # Errors
-    ///
-    /// See [`EmulationDevice::run`].
-    pub fn run_collect(
-        &mut self,
-        max_cycles: u64,
-    ) -> Result<(u64, Vec<u8>, Vec<EventRecord>), SimError> {
-        let mut events = Vec::new();
-        let cycles = self.run(max_cycles, |step| {
-            events.extend_from_slice(&step.obs.events);
-        })?;
-        let level = self.trace.level() as u32;
-        let trace = self.drain_trace(level)?;
-        Ok((cycles, trace, events))
-    }
-
     /// Current cycle.
     #[must_use]
     pub fn now(&self) -> Cycle {
@@ -361,7 +341,10 @@ mod tests {
             .build()
             .unwrap();
         ed.program_mcds(mcds);
-        let (_cycles, trace, events) = ed.run_collect(1_000_000).unwrap();
+        let mut events = Vec::new();
+        ed.run(1_000_000, |step| events.extend_from_slice(&step.obs.events))
+            .unwrap();
+        let trace = ed.drain_trace(ed.trace.level() as u32).unwrap();
         let msgs = decode_stream(&trace).unwrap();
         let measured: u64 = msgs
             .iter()

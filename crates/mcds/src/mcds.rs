@@ -414,12 +414,6 @@ impl Mcds {
         McdsBuilder::new()
     }
 
-    /// `true` once a `StopCapture` action froze the trace.
-    #[must_use]
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
     /// Watchpoints fired so far (cycle, code).
     #[must_use]
     pub fn watchpoints(&self) -> &[(Cycle, u8)] {
@@ -1089,7 +1083,10 @@ mod tests {
             }
             mcds.observe(Cycle(c), &events, &[], &mut out);
         }
-        assert!(mcds.is_stopped());
+        // Stopped: a further cycle's probe emits nothing.
+        let len = out.len();
+        mcds.observe(Cycle(10), &[retire(10, 1)], &[], &mut out);
+        assert_eq!(out.len(), len);
         assert_eq!(mcds.watchpoints(), &[(Cycle(5), 77)]);
         let msgs = decode_stream(&out).unwrap();
         // Per-cycle probe messages stop after the trigger at cycle 5.

@@ -21,6 +21,15 @@ pub const CTX_REGS: usize = 8;
 // One bit per channel in `Pcp::pending`.
 const _: () = assert!(CHANNELS <= u8::BITS as usize);
 
+/// The pending-mask bit of service-request channel `ch`. An SRC's channel
+/// field is 8 bits wide; like the DMA engine's, the channel number wraps
+/// at [`CHANNELS`].
+#[must_use]
+#[inline]
+pub fn channel_bit(ch: u8) -> u8 {
+    1 << (usize::from(ch) % CHANNELS)
+}
+
 /// A timed word-access port to the system crossbar, as seen by the PCP.
 pub trait PcpBus {
     /// Reads a 32-bit word; returns the value and its arrival cycle.
@@ -153,10 +162,12 @@ impl Pcp {
         c.enabled = true;
     }
 
-    /// Marks a channel pending (service request arrival).
+    /// Marks a channel pending (service request arrival); the channel
+    /// number wraps as in [`channel_bit`].
     pub fn trigger(&mut self, ch: u8) {
-        if self.channels[ch as usize].enabled {
-            self.pending |= 1 << ch;
+        let bit = channel_bit(ch);
+        if self.channels[bit.trailing_zeros() as usize].enabled {
+            self.pending |= bit;
         }
     }
 

@@ -256,12 +256,6 @@ impl ProgramBuilder {
         self.labels[l.0] = Some(self.instrs.len());
     }
 
-    /// Appends `JMP label`.
-    pub fn jmp(&mut self, l: Label) {
-        self.fixups.push((self.instrs.len(), l.0));
-        self.instrs.push(PcpInstr::Jmp { target: 0 });
-    }
-
     /// Appends `JNZ r1, label`.
     pub fn jnz(&mut self, r1: PReg, l: Label) {
         self.fixups.push((self.instrs.len(), l.0));
@@ -407,7 +401,7 @@ mod tests {
             imm: -1,
         });
         b.jz(PReg(0), done);
-        b.jmp(head);
+        b.jnz(PReg(1), head);
         b.bind(done);
         b.push(PcpInstr::Exit);
         let words = b.finish(10);
@@ -422,6 +416,12 @@ mod tests {
                 target: 13
             }
         );
-        assert_eq!(decoded[2], PcpInstr::Jmp { target: 10 });
+        assert_eq!(
+            decoded[2],
+            PcpInstr::Jnz {
+                r1: PReg(1),
+                target: 10
+            }
+        );
     }
 }

@@ -124,15 +124,6 @@ impl Cache {
         };
     }
 
-    /// Invalidates everything.
-    pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                l.valid = false;
-            }
-        }
-    }
-
     /// Lifetime (hits, misses) counters — simulator-internal ground truth.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
@@ -188,14 +179,6 @@ mod tests {
         c.fill(Addr(0x100));
         assert!(!c.lookup(Addr(0x100)));
         assert_eq!(c.stats(), (0, 0), "disabled cache counts nothing");
-    }
-
-    #[test]
-    fn invalidate_all_clears() {
-        let mut c = small();
-        c.fill(Addr(0));
-        c.invalidate_all();
-        assert!(!c.lookup(Addr(0)));
     }
 
     #[test]

@@ -157,7 +157,6 @@ pub struct Fabric {
     /// Bus transactions observed this cycle (MCDS bus observation).
     pub bus_obs: Vec<BusTransaction>,
     dma_beats: u64,
-    pcp_triggers: Vec<u8>,
 }
 
 impl Fabric {
@@ -187,7 +186,6 @@ impl Fabric {
             sink: EventSink::new(),
             bus_obs: Vec::new(),
             dma_beats: 0,
-            pcp_triggers: Vec::new(),
             storage,
             cfg,
         }
@@ -621,7 +619,8 @@ impl Fabric {
     // ------------------------------------------------------------------
 
     /// Advances peripherals, the flash prefetcher, interrupt dispatch and
-    /// the DMA engine by one cycle. Returns PCP channels to trigger. The
+    /// the DMA engine by one cycle. Returns the PCP channels to trigger as
+    /// a mask ([`audo_pcp::core::channel_bit`] per request). The
     /// peripherals, the prefetcher and the DMA engine cost one test on a
     /// cycle where they cannot act; their work runs only on its due cycle
     /// (a timer match, a conversion, message or tooth due, a fill landing
@@ -630,16 +629,16 @@ impl Fabric {
     /// # Errors
     ///
     /// Propagates DMA access faults (bad channel programming).
-    pub fn step(&mut self, now: Cycle) -> Result<&[u8], SimError> {
+    pub fn step(&mut self, now: Cycle) -> Result<u8, SimError> {
         self.stm.step(now, &mut self.irq, &mut self.sink);
         self.adc.step(now, &mut self.irq, &mut self.sink);
         self.can.step(now, &mut self.irq, &mut self.sink);
         self.crank.step(now, &mut self.irq, &mut self.sink);
         self.flash.step(now, &mut self.sink);
-        self.pcp_triggers.clear();
-        let (dma, pcp) = (&mut self.dma, &mut self.pcp_triggers);
+        let mut pcp = 0u8;
+        let dma = &mut self.dma;
         self.irq.dispatch(|service| match service {
-            Service::Pcp { channel } => pcp.push(channel),
+            Service::Pcp { channel } => pcp |= audo_pcp::core::channel_bit(channel),
             Service::Dma { channel } => dma.request(channel),
             Service::Cpu => {}
         });
@@ -648,7 +647,7 @@ impl Fabric {
                 self.dma_beat(now, chi)?;
             }
         }
-        Ok(&self.pcp_triggers)
+        Ok(pcp)
     }
 
     /// Moves one beat on DMA channel `chi`.
@@ -751,12 +750,14 @@ impl CoreBus for Fabric {
         })
     }
 
+    #[inline]
     fn read(&mut self, now: Cycle, addr: Addr, size: u8) -> Result<ReadSlot, SimError> {
         let (value, ready_at) =
             self.data_access(now, SourceId::TRICORE, addr, size, AccessKind::Read, None)?;
         Ok(ReadSlot { value, ready_at })
     }
 
+    #[inline]
     fn write(&mut self, now: Cycle, addr: Addr, size: u8, value: u32) -> Result<Cycle, SimError> {
         let (_, accepted) = self.data_access(
             now,
@@ -769,6 +770,7 @@ impl CoreBus for Fabric {
         Ok(accepted)
     }
 
+    #[inline]
     fn code_region(&self, addr: Addr) -> Option<(u32, u64)> {
         // Must mirror `fetch` exactly: fetched bytes come from `storage` at
         // the canonical address (the uncached flash segment aliases the
@@ -1014,7 +1016,7 @@ mod tests {
         )
         .unwrap();
         let triggers = f.step(Cycle(3)).unwrap();
-        assert_eq!(triggers, vec![3]);
+        assert_eq!(triggers, 1 << 3);
     }
 
     #[test]

@@ -210,8 +210,10 @@ impl Soc {
     pub fn advance(&mut self) -> Result<&CycleObservation, SimError> {
         let now = self.clock;
         // Peripherals, DMA, interrupt dispatch.
-        let pcp_triggers = self.fabric.step(now)?;
-        for &ch in pcp_triggers {
+        let mut pcp_triggers = self.fabric.step(now)?;
+        while pcp_triggers != 0 {
+            let ch = pcp_triggers.trailing_zeros() as u8;
+            pcp_triggers &= pcp_triggers - 1;
             self.pcp.trigger(ch);
         }
         // PCP.
@@ -425,12 +427,45 @@ mod tests {
         );
     }
 
+    /// A PCP program that increments the word at `0x9000_0000`, raises
+    /// `srq` if given, and exits.
+    fn increment_sram_word(srq: Option<u8>) -> Vec<u32> {
+        use audo_pcp::isa::{PReg, PcpInstr, ProgramBuilder};
+        let mut b = ProgramBuilder::new();
+        b.push(PcpInstr::Ldi {
+            r1: PReg(1),
+            imm: 0,
+        });
+        b.push(PcpInstr::Ldih {
+            r1: PReg(1),
+            imm: 0x9000,
+        });
+        b.push(PcpInstr::Ld {
+            r1: PReg(0),
+            r2: PReg(1),
+            off: 0,
+        });
+        b.push(PcpInstr::Addi {
+            r1: PReg(0),
+            imm: 1,
+        });
+        b.push(PcpInstr::St {
+            r1: PReg(0),
+            r2: PReg(1),
+            off: 0,
+        });
+        if let Some(srn) = srq {
+            b.push(PcpInstr::Srq { srn });
+        }
+        b.push(PcpInstr::Exit);
+        b.finish(0)
+    }
+
     #[test]
     fn pcp_offload_roundtrip_via_srn() {
         // TriCore software-raises SRN 20 (routed to PCP ch 2); the PCP
         // program increments a word in SRAM and raises SRN 21 back to the
         // CPU (prio 6).
-        use audo_pcp::isa::{PReg, PcpInstr, ProgramBuilder};
         let mut soc = soc_with(
             "
             .org 0x80000000
@@ -458,32 +493,7 @@ mod tests {
             rfe
         ",
         );
-        let mut b = ProgramBuilder::new();
-        b.push(PcpInstr::Ldi {
-            r1: PReg(1),
-            imm: 0,
-        });
-        b.push(PcpInstr::Ldih {
-            r1: PReg(1),
-            imm: 0x9000,
-        });
-        b.push(PcpInstr::Ld {
-            r1: PReg(0),
-            r2: PReg(1),
-            off: 0,
-        });
-        b.push(PcpInstr::Addi {
-            r1: PReg(0),
-            imm: 1,
-        });
-        b.push(PcpInstr::St {
-            r1: PReg(0),
-            r2: PReg(1),
-            off: 0,
-        });
-        b.push(PcpInstr::Srq { srn: 21 });
-        b.push(PcpInstr::Exit);
-        soc.pcp.load_program(0, &b.finish(0));
+        soc.pcp.load_program(0, &increment_sram_word(Some(21)));
         soc.pcp.setup_channel(2, 0);
         soc.run_to_halt(1_000_000).unwrap();
         assert_eq!(
@@ -496,6 +506,48 @@ mod tests {
             1,
             "CPU got the completion interrupt"
         );
+    }
+
+    /// A program that software-raises SRN 0 by storing `src` (with SETR
+    /// set) to its SRC, then spins a while and halts.
+    fn raise_src0(src: u32) -> Soc {
+        soc_with(&format!(
+            "
+            .org 0x80000000
+        _start:
+            la a2, 0xF0006000
+            li d1, {src:#x}
+            st.w d1, [a2]
+            movi d5, 0
+            li d6, 200
+        spin:
+            addi d5, d5, 1
+            jne d5, d6, spin
+            halt
+        "
+        ))
+    }
+
+    #[test]
+    fn pcp_channel_field_beyond_the_channel_count_wraps() {
+        // SRC 0: prio 1, enabled, service PCP, channel field 9 = channel 1
+        // after the wrap. Channel 1 increments a word in SRAM.
+        let mut soc = raise_src0(0x8000_4B01);
+        soc.pcp.load_program(0, &increment_sram_word(None));
+        soc.pcp.setup_channel(1, 0);
+        soc.run_to_halt(100_000).unwrap();
+        assert_eq!(soc.fabric.peek(Addr(0x9000_0000), 4).unwrap(), 1);
+        assert_eq!(soc.pcp.retired_total(), 6);
+    }
+
+    #[test]
+    fn dma_channel_field_beyond_the_channel_count_wraps() {
+        // The DMA twin of the test above: channel field 9 = DMA channel 1,
+        // which is not enabled, so the request is dropped.
+        let mut soc = raise_src0(0x8000_4D01);
+        soc.run_to_halt(100_000).unwrap();
+        assert_eq!(soc.fabric.dma_beats(), 0);
+        assert_eq!(soc.tricore.arch().d[5], 200);
     }
 
     #[test]

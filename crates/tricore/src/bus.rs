@@ -183,6 +183,7 @@ impl<'a, B: CoreBus> TimedMem<'a, B> {
 }
 
 impl<B: CoreBus> ArchMem for TimedMem<'_, B> {
+    #[inline]
     fn read(&mut self, addr: Addr, size: u8) -> Result<u32, SimError> {
         let slot = self.bus.read(self.now, addr, size)?;
         self.reads_ready = self.reads_ready.max(slot.ready_at);
@@ -190,6 +191,7 @@ impl<B: CoreBus> ArchMem for TimedMem<'_, B> {
         Ok(slot.value)
     }
 
+    #[inline]
     fn write(&mut self, addr: Addr, size: u8, value: u32) -> Result<(), SimError> {
         let t = self.bus.write(self.now, addr, size, value)?;
         self.writes_accepted = self.writes_accepted.max(t);

@@ -626,6 +626,7 @@ impl RegList {
     }
 
     /// Iterates over the contained register references.
+    #[inline(always)]
     pub fn iter(&self) -> impl Iterator<Item = RegRef> + '_ {
         self.regs[..self.len as usize]
             .iter()

@@ -200,6 +200,7 @@ impl FlatMem {
 
     /// Finds the region containing `addr`; returns `(region index, byte
     /// offset within it)`.
+    #[inline(always)]
     fn locate(&self, addr: Addr) -> Option<(usize, usize)> {
         let li = self.last.get();
         if let Some((base, region)) = self.regions.get(li) {
@@ -343,6 +344,7 @@ impl FlatMem {
     /// # Errors
     ///
     /// Returns [`SimError::UnmappedAddress`] if any byte is unmapped.
+    #[inline]
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) -> Result<(), SimError> {
         if let Some((idx, off)) = self.locate(addr) {
             if let Some(slice) = self.regions[idx].1.bytes.get(off..off + buf.len()) {
@@ -378,6 +380,7 @@ impl FlatMem {
     /// Returns `(region base, write generation)` for the region containing
     /// `addr` in a single lookup (predecode stamp hot path).
     #[must_use]
+    #[inline]
     pub fn region_stamp(&self, addr: Addr) -> Option<(u32, u64)> {
         let (idx, _) = self.locate(addr)?;
         let (base, region) = &self.regions[idx];
@@ -386,6 +389,7 @@ impl FlatMem {
 }
 
 impl ArchMem for FlatMem {
+    #[inline]
     fn read(&mut self, addr: Addr, size: u8) -> Result<u32, SimError> {
         if !addr.is_aligned(u32::from(size)) {
             return Err(SimError::MisalignedAccess { addr, size });
@@ -405,6 +409,7 @@ impl ArchMem for FlatMem {
         Ok(u32::from_le_bytes(buf))
     }
 
+    #[inline]
     fn write(&mut self, addr: Addr, size: u8, value: u32) -> Result<(), SimError> {
         if !addr.is_aligned(u32::from(size)) {
             return Err(SimError::MisalignedAccess { addr, size });

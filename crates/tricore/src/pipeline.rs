@@ -432,6 +432,7 @@ impl Core {
         self.profile.as_deref()
     }
 
+    #[inline]
     fn flush(&mut self, new_pc: u32) {
         self.fetch_gen += 1;
         self.pending_fetch = None;
@@ -716,6 +717,7 @@ impl Core {
 
     /// Counts and emits one stall cycle, charging it to `tag`'s block in
     /// the profile (when profiling is on).
+    #[inline]
     fn note_stall(
         &mut self,
         now: Cycle,
@@ -1140,6 +1142,7 @@ impl Core {
     }
 
     #[allow(clippy::too_many_arguments)] // reason: one internal per-cycle epilogue, not an API
+    #[inline]
     fn finish_issue(
         &mut self,
         now: Cycle,

@@ -18,6 +18,18 @@ echo "==> release binaries the gates below run: cargo build --release --workspac
 # `tier_bench` or `fuzz`; a fresh checkout needs them built here.
 cargo build --release --workspace
 
+echo "==> inline gate: the per-cycle #[inline(always)] leaves have no symbol in fleet"
+# No build here has LTO, so a helper from another crate is inlined into
+# the SoC cycle only when its crate marks it (ARCHITECTURE.md, "Inlining
+# across crates"). A leaf that still has a symbol of its own in the
+# release binary is being called out of line.
+fleet_syms="$(nm -C target/release/fleet)"
+leaves=' (audo_common::types::Cycle::(max|saturating_sub)|audo_tricore::isa::RegList::iter|audo_tricore::mem::FlatMem::locate)$'
+if grep -E "$leaves" <<<"$fleet_syms"; then
+    echo "an #[inline(always)] leaf is compiled out of line (see lines above)" >&2
+    exit 1
+fi
+
 echo "==> tier-1: cargo test -q"
 cargo test -q
 

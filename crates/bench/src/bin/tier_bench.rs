@@ -9,8 +9,9 @@
 //! Variants, per workload:
 //!
 //! * ISS: `slow` (decode every instruction), `fast` (decode cache),
-//!   `fast+mix` (instruction-mix counter on), `fast+profile` (block
-//!   profiling on). Timed region: `Iss::run_resumable`.
+//!   `fast+profile` (the observation record on: block profile, opcode
+//!   counts and so the instruction mix). Timed region:
+//!   `Iss::run_resumable`.
 //! * pipeline: `uncached`, `cached` (predecoded blocks), `cached+profile`.
 //!   Timed region: the stepping loop, event observation off. Before
 //!   timing, the uncached and cached runs must be cycle-identical: state,
@@ -35,13 +36,13 @@
 //! ratios against the tier's plain variant (`fast`, `cached`). Gates, on
 //! each tier's geomean of those ratios over the workloads: the fast path
 //! must be faster (> 1.0), and every instrumentation overhead must lie in
-//! `[0.97, ceiling]` — 1.25 for the mix counter, 1.4 for profiling, 1.3
-//! for soc emulation mode and 2.1 for the soc ED session. The soc ratio
+//! `[0.97, ceiling]` — 1.4 for profiling, 1.3 for soc emulation mode and
+//! 2.1 for the soc ED session. The soc ratio
 //! `ed+session / ed`, the host tool's own cost, is recorded but not
 //! gated.
 //!
 //! `--trace-out`/`--metrics-out` write observability exports of one
-//! instrumented ISS run per workload (fast path, mix counter on). Their
+//! instrumented ISS run per workload (fast path, observation on). Their
 //! timestamps are retired-instruction counts, so the files are
 //! byte-identical across runs.
 //!
@@ -75,8 +76,6 @@ const PROFILE_EXTRA_REPS: usize = 40;
 /// Lowest accepted instrumentation overhead: anything faster than its
 /// uninstrumented twin by more than noise is a measurement fault.
 const OVERHEAD_FLOOR: f64 = 0.97;
-/// Highest accepted overhead of the ISS instruction-mix counter.
-const MIX_CEIL: f64 = 1.25;
 /// Highest accepted overhead of block profiling, on either tier.
 const PROFILE_CEIL: f64 = 1.4;
 /// Highest accepted overhead of SoC observation (emulation mode).
@@ -86,7 +85,7 @@ const ED_CEIL: f64 = 2.1;
 /// ISS retire budget; every workload halts well inside it.
 const MAX_INSTRS: u64 = 50_000_000;
 
-const ISS: [&str; 4] = ["slow", "fast", "fast+mix", "fast+profile"];
+const ISS: [&str; 3] = ["slow", "fast", "fast+profile"];
 const PIPELINE: [&str; 3] = ["uncached", "cached", "cached+profile"];
 const SOC: [&str; 5] = ["uncached", "cached", "emulation", "ed", "ed+session"];
 /// Tool-link fault rate of the `ed+session` variant, the fleet's base rate.
@@ -120,9 +119,8 @@ impl Band {
 const REPORTED: [(&str, &str, &str); 1] = [("soc", "ed+session", "ed")];
 
 /// The gated ratios, `(tier, of, over, band)`; the JSON records them too.
-const GATES: [(&str, &str, &str, Band); 8] = [
+const GATES: [(&str, &str, &str, Band); 7] = [
     ("iss", "slow", "fast", Band::Speedup),
-    ("iss", "fast+mix", "fast", Band::Overhead(MIX_CEIL)),
     ("iss", "fast+profile", "fast", Band::Overhead(PROFILE_CEIL)),
     ("pipeline", "uncached", "cached", Band::Speedup),
     (
@@ -139,8 +137,7 @@ const GATES: [(&str, &str, &str, Band); 8] = [
 /// One timed ISS run of variant `v` (an index into [`ISS`]).
 fn iss_run(w: &Workload, v: usize) -> (u64, u64) {
     let mut iss = tiers::iss(w, v != 0);
-    iss.set_mix_observation(v == 2);
-    iss.set_profile_observation(v == 3);
+    iss.set_profile_observation(v == 2);
     let (ns, run) = time(|| iss.run_resumable(MAX_INSTRS));
     run.expect("workload completes");
     (ns, iss.instr_count())
@@ -294,7 +291,7 @@ fn write_obs_exports(
     let mut tracks = Vec::new();
     for (track, w) in (1u32..).zip(workloads) {
         let mut iss = tiers::iss(w, true);
-        iss.set_mix_observation(true);
+        iss.set_profile_observation(true);
         let mut reg = audo_obs::Registry::new();
         reg.begin_span("run", 0);
         iss.run_resumable(MAX_INSTRS)

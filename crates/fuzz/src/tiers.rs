@@ -127,9 +127,12 @@ struct IssOut {
     instr_count: u64,
     debug_markers: Vec<u8>,
     events: Vec<EventRecord>,
-    coverage: Box<[u64; OPCODE_SPACE]>,
+    /// Per-opcode-slot retired counts, from the slow run only.
+    coverage: Option<Box<[u64; OPCODE_SPACE]>>,
 }
 
+/// Runs the ISS on `image`. Only the slow run counts opcode coverage: the
+/// fast run is compared against it, and its counts would be the same.
 fn iss_exec(image: &Image, fast: bool, max_instrs: u64) -> IssOut {
     let mut iss = Iss::new();
     for &(base, len) in REGIONS {
@@ -137,11 +140,11 @@ fn iss_exec(image: &Image, fast: bool, max_instrs: u64) -> IssOut {
     }
     iss.init_csa(Addr(CSA_BASE), CSA_FRAMES)
         .expect("CSA window is mapped");
+    iss.set_profile_observation(!fast);
     let err = match iss.load(image) {
         Ok(()) => {
             iss.set_fast_path(fast);
             iss.set_observation(true);
-            iss.set_opcode_observation(true);
             iss.run_resumable(max_instrs).err()
         }
         Err(e) => Some(e),
@@ -152,9 +155,7 @@ fn iss_exec(image: &Image, fast: bool, max_instrs: u64) -> IssOut {
         instr_count: iss.instr_count(),
         debug_markers: iss.debug_markers().to_vec(),
         events: iss.events().to_vec(),
-        coverage: iss
-            .opcode_counts()
-            .map_or_else(|| Box::new([0u64; OPCODE_SPACE]), |c| Box::new(*c)),
+        coverage: iss.opcode_counts().map(|c| Box::new(*c)),
     }
 }
 
@@ -366,7 +367,7 @@ pub fn check_image(image: &Image, tiers: Tiers, opts: &CheckOptions) -> TierRepo
         divergence: None,
         errored: false,
         retired: slow.instr_count,
-        coverage: slow.coverage,
+        coverage: slow.coverage.expect("the slow run counts coverage"),
         stall_coverage: [0; StallReason::COUNT],
     };
 

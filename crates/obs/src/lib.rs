@@ -33,9 +33,10 @@
 //!   trace-controller byte accounting) and a registry *samples* them once
 //!   at snapshot points, so the steady-state overhead of the export layer
 //!   is zero by construction;
-//! * the few opt-in per-event recorders (e.g. the ISS retired-instruction
-//!   mix) sit behind an `Option` that defaults to `None` — one untaken
-//!   branch per event when disabled;
+//! * the few opt-in recorders (the ISS observation record, the pipeline's
+//!   block profile) sit behind an `Option` that defaults to `None` — one
+//!   untaken branch per event (per dispatched block on the ISS) when
+//!   disabled;
 //! * a [`Registry::disabled`] registry turns every recording call into an
 //!   early return, so instrumented call sites need no `if` of their own.
 

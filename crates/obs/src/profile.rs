@@ -244,6 +244,17 @@ impl BlockProfile {
         self.slot_mut(key).executions += 1;
     }
 
+    /// Records one whole dispatch of the block: an entry that retired
+    /// `instructions` instructions, the last ending `end_offset` bytes
+    /// after the block start.
+    #[inline]
+    pub fn record_run(&mut self, key: BlockKey, instructions: u64, end_offset: u32) {
+        let c = self.slot_mut(key);
+        c.executions += 1;
+        c.instructions += instructions;
+        c.span = c.span.max(end_offset);
+    }
+
     /// Records one retired instruction whose encoding ends `end_offset`
     /// bytes after the block start (`None` = unattributable).
     #[inline]

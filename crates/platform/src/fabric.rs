@@ -1057,6 +1057,24 @@ mod tests {
     }
 
     #[test]
+    fn dma_done_srn_past_the_last_srn_is_ignored() {
+        let mut f = fabric();
+        f.poke(Addr(0x9000_0000), 4, 77).unwrap();
+        // Channel 0: one word SRAM -> DSPR, done field 0x41 (SRN 64).
+        f.dma.mmio_write(0x00, 0x9000_0000);
+        f.dma.mmio_write(0x04, 0xD000_0100);
+        f.dma.mmio_write(0x08, 1);
+        f.dma.mmio_write(0x0C, 1 | (0x41 << 8));
+        f.dma.mmio_write(0x18, 1);
+        for c in 0..50u64 {
+            f.step(Cycle(c)).unwrap();
+        }
+        assert_eq!(f.dma_beats(), 1);
+        assert_eq!(f.peek(Addr(0xD000_0100), 4).unwrap(), 77);
+        assert_eq!(f.irq.cpu_pending(), None);
+    }
+
+    #[test]
     fn fetch_from_pspr_and_flash() {
         let mut f = fabric();
         use audo_tricore::bus::CoreBus;

@@ -108,8 +108,14 @@ impl IrqRouter {
     }
 
     /// Raises a service request (idempotent while pending).
+    ///
+    /// A number past the last SRN raises nothing: guests name SRNs in
+    /// 8-bit fields (a DMA channel's done SRN, the PCP's `SRQ`), and a
+    /// write to a missing SRC register is ignored the same way.
     pub fn raise(&mut self, srn: u8, now: Cycle, sink: &mut EventSink) {
-        let c = self.cfg[srn as usize];
+        let Some(&c) = self.cfg.get(usize::from(srn)) else {
+            return;
+        };
         if !c.enabled {
             return;
         }

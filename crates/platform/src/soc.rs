@@ -541,6 +541,18 @@ mod tests {
     }
 
     #[test]
+    fn pcp_srq_past_the_last_srn_is_ignored() {
+        // SRC 0 starts PCP channel 1, whose program ends with `SRQ 40`.
+        let mut soc = raise_src0(0x8000_4B01);
+        soc.pcp.load_program(0, &increment_sram_word(Some(40)));
+        soc.pcp.setup_channel(1, 0);
+        soc.run_to_halt(100_000).unwrap();
+        assert_eq!(soc.fabric.peek(Addr(0x9000_0000), 4).unwrap(), 1);
+        assert_eq!(soc.pcp.retired_total(), 7);
+        assert_eq!(soc.fabric.irq.cpu_pending(), None);
+    }
+
+    #[test]
     fn dma_channel_field_beyond_the_channel_count_wraps() {
         // The DMA twin of the test above: channel field 9 = DMA channel 1,
         // which is not enabled, so the request is dropped.

@@ -25,6 +25,7 @@ use audo_common::{Addr, SimError};
 use crate::encode::decode;
 use crate::isa::Instr;
 use crate::mem::FlatMem;
+use crate::opcodes::opcode_index_sized;
 
 /// Longest straight-line run predecoded into a single block, on either
 /// tier.
@@ -64,6 +65,41 @@ pub struct CachedInstr {
     /// region generation: a store *into the current block* would otherwise
     /// keep executing stale predecoded instructions.
     pub may_store: bool,
+    /// The opcode slot the instruction was fetched from
+    /// ([`opcode_index_sized`]), which the ISS's observation record counts.
+    pub slot: u8,
+}
+
+impl CachedInstr {
+    /// The record of `instr`, decoded from `len` bytes at `pc`.
+    #[must_use]
+    pub(crate) fn new(pc: u32, len: u8, instr: Instr) -> CachedInstr {
+        CachedInstr {
+            pc,
+            len,
+            instr,
+            may_store: instr.is_plain_store(),
+            slot: opcode_index_sized(&instr, len),
+        }
+    }
+}
+
+/// Fetches and decodes the ISS instruction at `pc`: a 4-byte window,
+/// falling back to 2 bytes near the end of mapped memory.
+///
+/// # Errors
+///
+/// Returns the fetch fault of the 2-byte window, or the decode fault.
+pub(crate) fn fetch_decode(mem: &FlatMem, pc: u32) -> Result<(Instr, u8), SimError> {
+    let mut buf = [0u8; 4];
+    let fetched = match mem.read_into(Addr(pc), &mut buf) {
+        Ok(()) => &buf[..],
+        Err(_) => {
+            mem.read_into(Addr(pc), &mut buf[..2])?;
+            &buf[..2]
+        }
+    };
+    decode(fetched, Addr(pc))
 }
 
 /// A predecoded straight-line run, stamped with the identity of the code
@@ -220,30 +256,15 @@ fn fill_block(pc: u32, (region, generation): Stamp, mem: &FlatMem) -> Option<Blo
     let mut instrs = Vec::new();
     let mut cur = pc;
     while instrs.len() < MAX_BLOCK_LEN {
-        // Mirror the slow path's fetch exactly: a 4-byte window, falling
-        // back to 2 bytes near the end of mapped memory.
-        let bytes = match mem
-            .read_bytes(Addr(cur), 4)
-            .or_else(|_| mem.read_bytes(Addr(cur), 2))
-        {
-            Ok(b) => b,
-            Err(_) => break,
-        };
-        let (instr, len) = match decode(&bytes, Addr(cur)) {
-            Ok(d) => d,
-            Err(_) => break,
+        let Ok((instr, len)) = fetch_decode(mem, cur) else {
+            break;
         };
         // Never let a block leak past its region: bytes outside `region`
         // are not covered by its generation counter.
         if u64::from(cur) + u64::from(len) > region_end {
             break;
         }
-        instrs.push(CachedInstr {
-            pc: cur,
-            len,
-            instr,
-            may_store: instr.is_plain_store(),
-        });
+        instrs.push(CachedInstr::new(cur, len, instr));
         if ends_block(&instr) {
             break;
         }

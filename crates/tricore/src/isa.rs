@@ -533,7 +533,8 @@ impl Instr {
     }
 
     /// Returns the coarse [`InstrClass`] of this instruction, used by the
-    /// observability layer's retired-instruction mix counters.
+    /// observability layer's retired-instruction mix (folded from the
+    /// per-slot counts by [`crate::opcodes::opcode_class`]).
     #[must_use]
     pub fn class(&self) -> InstrClass {
         use Instr::*;

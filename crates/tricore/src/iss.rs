@@ -28,17 +28,25 @@
 //! feeding `audo-mcds` the same way the cycle-accurate pipeline does.
 //! Equivalence tests compare the stream fast-path-on vs. -off, both raw
 //! and after MCDS trace encoding.
+//!
+//! # Counting observation
+//!
+//! With [`Iss::set_profile_observation`] enabled the ISS keeps one
+//! observation record: a block profile and per-opcode-slot retired counts,
+//! from which [`Iss::export_obs`] derives the instruction mix. Every
+//! dispatch reports its retired prefix to the record once, when it ends,
+//! so the execute loop itself carries no observation work.
 
 use audo_common::{Addr, Cycle, EventRecord, EventSink, PerfEvent, SimError, SourceId};
+use audo_obs::profile::{BlockKey, BlockProfile};
 
 use crate::arch::{init_csa_list, ArchState};
-use crate::decode_cache::{BlockCache, CacheStats, CachedInstr};
-use crate::encode::decode;
+use crate::decode_cache::{fetch_decode, BlockCache, CacheStats, CachedInstr};
 use crate::exec::{execute, Outcome};
 use crate::image::Image;
-use crate::isa::{Instr, InstrClass};
+use crate::isa::InstrClass;
 use crate::mem::FlatMem;
-use crate::opcodes::{opcode_index_sized, OPCODE_SPACE};
+use crate::opcodes::{opcode_class, ASSIGNED, OPCODE_SPACE};
 
 /// Why a resumable run ([`Iss::run_resumable`]) returned without error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,12 +72,37 @@ pub struct IssRun {
     /// Per-retirement event stream (empty unless [`Iss::set_observation`]
     /// was enabled before the run).
     pub events: Vec<EventRecord>,
-    /// Per-opcode-slot retired counts (`None` unless
-    /// [`Iss::set_opcode_observation`] was enabled before the run).
-    pub opcode_counts: Option<Box<[u64; OPCODE_SPACE]>>,
-    /// Per-block execution profile (`None` unless
-    /// [`Iss::set_profile_observation`] was enabled before the run).
-    pub block_profile: Option<Box<audo_obs::profile::BlockProfile>>,
+}
+
+/// What [`Iss::set_profile_observation`] records.
+#[derive(Debug, Clone)]
+struct Observed {
+    /// Block executions, instructions and spans.
+    profile: BlockProfile,
+    /// Retired instructions per opcode slot.
+    opcodes: [u64; OPCODE_SPACE],
+}
+
+impl Observed {
+    /// The observation hook: one dispatch of the block `key` (`None` for
+    /// a slow step, which no block owns) retired `prefix`.
+    fn record(&mut self, key: Option<BlockKey>, prefix: &[CachedInstr]) {
+        let retired = prefix.len() as u64;
+        match key {
+            Some(key) => {
+                let end = prefix.last().map_or(0, |ci| {
+                    ci.pc
+                        .wrapping_add(u32::from(ci.len))
+                        .wrapping_sub(key.addr())
+                });
+                self.profile.record_run(key, retired, end);
+            }
+            None => self.profile.unattributed.instructions += retired,
+        }
+        for ci in prefix {
+            self.opcodes[usize::from(ci.slot)] += 1;
+        }
+    }
 }
 
 /// The functional golden-model simulator.
@@ -105,9 +138,7 @@ pub struct Iss {
     cache: Option<BlockCache<CachedInstr>>,
     block_buf: Vec<CachedInstr>,
     events: EventSink,
-    mix: Option<Box<[u64; InstrClass::COUNT]>>,
-    opcodes: Option<Box<[u64; OPCODE_SPACE]>>,
-    profile: Option<Box<audo_obs::profile::BlockProfile>>,
+    observed: Option<Box<Observed>>,
 }
 
 impl Default for Iss {
@@ -130,9 +161,7 @@ impl Iss {
             cache: Some(BlockCache::default()),
             block_buf: Vec::new(),
             events: EventSink::disabled(),
-            mix: None,
-            opcodes: None,
-            profile: None,
+            observed: None,
         }
     }
 
@@ -188,85 +217,59 @@ impl Iss {
         self.events.set_enabled(enabled);
     }
 
-    /// Enables or disables retired-instruction mix counting.
+    /// Enables or disables counting observation: a block profile and
+    /// per-opcode-slot retired counts.
     ///
-    /// Off by default: when off, the only cost is one untaken branch per
-    /// retirement (same pattern as event observation). When on, every
-    /// retired instruction bumps a per-[`InstrClass`] counter. Enabling
-    /// resets the counters; disabling drops them.
-    pub fn set_mix_observation(&mut self, enabled: bool) {
-        self.mix = if enabled {
-            Some(Box::new([0; InstrClass::COUNT]))
-        } else {
-            None
-        };
+    /// Off by default, costing one untaken branch per dispatch. When on,
+    /// every predecoded block the fast path dispatches counts one
+    /// execution under its `(region, offset, generation)` key, with the
+    /// instructions it retired before it ended — at its end, at a `HALT`
+    /// or `WAIT`, at a store into its own code, at the retire limit or at
+    /// a fault. Instructions the slow [`Iss::step`] retires land in the
+    /// profile's `unattributed` bucket, so the profile's total always
+    /// equals [`Iss::instr_count`] when it was enabled from reset. The
+    /// functional tier records no cycles (it has no clock). Each retired
+    /// instruction also counts toward the opcode slot it was fetched from
+    /// ([`crate::opcodes::opcode_index_sized`], so assembler-widened
+    /// encodings attribute to the 32-bit slot that actually sat in
+    /// memory): the coverage feedback the differential fuzzer chases.
+    /// Enabling resets the record; disabling drops it.
+    pub fn set_profile_observation(&mut self, enabled: bool) {
+        self.observed = enabled.then(|| {
+            Box::new(Observed {
+                profile: BlockProfile::new(),
+                opcodes: [0; OPCODE_SPACE],
+            })
+        });
     }
 
-    /// Retired-instruction counts per [`InstrClass`] (counter-index order
-    /// of [`InstrClass::ALL`]), if mix counting is on.
-    #[must_use]
-    pub fn mix_counts(&self) -> Option<&[u64; InstrClass::COUNT]> {
-        self.mix.as_deref()
-    }
-
-    /// Enables or disables per-opcode-format coverage counting.
-    ///
-    /// Off by default (same cost profile as [`Iss::set_mix_observation`]).
-    /// When on, every retired instruction bumps the counter of the opcode
-    /// slot it was fetched from ([`crate::opcodes::opcode_index_sized`],
-    /// so assembler-widened encodings attribute to the 32-bit slot that
-    /// actually sat in memory). This is the coverage feedback the
-    /// differential fuzzer chases. Enabling resets the counters;
-    /// disabling drops them.
+    /// Same as [`Iss::set_profile_observation`]; kept because the frozen
+    /// benchmark's copy of the fuzz checker calls it by this name.
     pub fn set_opcode_observation(&mut self, enabled: bool) {
-        self.opcodes = if enabled {
-            Some(Box::new([0; OPCODE_SPACE]))
-        } else {
-            None
-        };
+        self.set_profile_observation(enabled);
     }
 
     /// Retired-instruction counts per opcode slot (indexed by the
-    /// [`crate::opcodes`] space), if opcode coverage counting is on.
+    /// [`crate::opcodes`] space), if observation is on.
     #[must_use]
     pub fn opcode_counts(&self) -> Option<&[u64; OPCODE_SPACE]> {
-        self.opcodes.as_deref()
+        self.observed.as_deref().map(|o| &o.opcodes)
     }
 
-    /// Enables or disables block-level execution profiling.
-    ///
-    /// Off by default, costing one untaken branch per retirement. On, it
-    /// costs more than [`Iss::set_mix_observation`]: a key compare per
-    /// retired instruction and one ordered-index lookup whenever the
-    /// block changes, about 1.16× the fast path's run time (`tier_bench`
-    /// `fast+profile / fast` geomean; the mix counter costs about 1.02×).
-    /// When on, every predecoded block dispatched by the fast path counts
-    /// one execution under its `(region, offset, generation)` key and
-    /// every instruction retired from it counts toward the block; the
-    /// functional tier records no cycles (it has no clock). Only
-    /// fast-path dispatches are profiled — enable the fast path
-    /// ([`Iss::set_fast_path`]) to profile. Enabling resets the profile;
-    /// disabling drops it.
-    pub fn set_profile_observation(&mut self, enabled: bool) {
-        self.profile = if enabled {
-            Some(Box::new(audo_obs::profile::BlockProfile::new()))
-        } else {
-            None
-        };
-    }
-
-    /// The block-execution profile recorded so far, if profiling is on.
+    /// The block-execution profile recorded so far, if observation is on.
     #[must_use]
-    pub fn block_profile(&self) -> Option<&audo_obs::profile::BlockProfile> {
-        self.profile.as_deref()
+    pub fn block_profile(&self) -> Option<&BlockProfile> {
+        self.observed.as_deref().map(|o| &o.profile)
     }
 
     /// Samples this ISS's counters into an observability registry.
     ///
-    /// Records the retired-instruction total, decode-cache statistics
-    /// (when the fast path is on) and the per-class instruction mix (when
-    /// mix counting is on), all under the `iss.` prefix. Safe to call at
-    /// any point; values are absolute snapshots.
+    /// Records the retired-instruction total and decode-cache statistics
+    /// (when the fast path is on) and, when observation is on, the
+    /// per-class instruction mix (folded from the opcode counts with
+    /// [`opcode_class`]), the per-opcode counts and the profile's totals,
+    /// all under the `iss.` prefix. Safe to call at any point; values are
+    /// absolute snapshots.
     pub fn export_obs(&self, reg: &mut audo_obs::Registry) {
         reg.sample("iss.instructions_retired", self.instr_count);
         if let Some(stats) = self.cache_stats() {
@@ -274,36 +277,22 @@ impl Iss {
             reg.sample("iss.decode_cache.misses", stats.misses);
             reg.sample("iss.decode_cache.invalidations", stats.invalidations);
         }
-        if let Some(mix) = self.mix_counts() {
-            for class in InstrClass::ALL {
-                reg.sample(&format!("iss.mix.{}", class.label()), mix[class.index()]);
-            }
+        let Some(observed) = self.observed.as_deref() else {
+            return;
+        };
+        let mut mix = [0; InstrClass::COUNT];
+        for &(idx, name) in ASSIGNED {
+            let count = observed.opcodes[usize::from(idx)];
+            reg.sample(&format!("iss.opcode.{name}"), count);
+            mix[opcode_class(idx).expect("assigned slot").index()] += count;
         }
-        if let Some(counts) = self.opcode_counts() {
-            for &(idx, name) in crate::opcodes::ASSIGNED {
-                reg.sample(&format!("iss.opcode.{name}"), counts[usize::from(idx)]);
-            }
+        for class in InstrClass::ALL {
+            reg.sample(&format!("iss.mix.{}", class.label()), mix[class.index()]);
         }
-        if let Some(profile) = self.block_profile() {
-            let total = profile.total();
-            reg.sample("iss.profile.blocks", profile.len() as u64);
-            reg.sample("iss.profile.executions", total.executions);
-            reg.sample("iss.profile.instructions", total.instructions);
-        }
-    }
-
-    #[inline]
-    fn note_mix(&mut self, instr: &Instr) {
-        if let Some(mix) = self.mix.as_deref_mut() {
-            mix[instr.class().index()] += 1;
-        }
-    }
-
-    #[inline]
-    fn note_opcode(&mut self, instr: &Instr, len: u8) {
-        if let Some(counts) = self.opcodes.as_deref_mut() {
-            counts[usize::from(opcode_index_sized(instr, len))] += 1;
-        }
+        let total = observed.profile.total();
+        reg.sample("iss.profile.blocks", observed.profile.len() as u64);
+        reg.sample("iss.profile.executions", total.executions);
+        reg.sample("iss.profile.instructions", total.instructions);
     }
 
     /// Direct access to the architectural state.
@@ -393,79 +382,72 @@ impl Iss {
     /// Propagates decode and memory faults.
     pub fn step(&mut self) -> Result<Outcome, SimError> {
         let pc = self.state.pc;
-        let mut buf = [0u8; 4];
-        let fetched = match self.mem.read_into(Addr(pc), &mut buf) {
-            Ok(()) => &buf[..],
-            Err(_) => {
-                self.mem.read_into(Addr(pc), &mut buf[..2])?;
-                &buf[..2]
-            }
-        };
-        let (instr, ilen) = decode(fetched, Addr(pc))?;
+        let (instr, ilen) = fetch_decode(&self.mem, pc)?;
         let out = execute(&mut self.state, &mut self.mem, &instr, pc, ilen)?;
-        self.note_mix(&instr);
-        self.note_opcode(&instr, ilen);
         self.note_retired(pc, &out);
+        if let Some(observed) = self.observed.as_deref_mut() {
+            observed.record(None, &[CachedInstr::new(pc, ilen, instr)]);
+        }
         Ok(out)
     }
 
     /// Executes one predecoded basic block (or a single slow step when no
     /// block can be formed at the PC). Returns `true` if a `WAIT` retired.
+    ///
+    /// Every way out of the block — its end, `HALT`, `WAIT`, a store into
+    /// its own code, the retire limit, a fault — leaves through one exit
+    /// that reports the retired prefix to the observation record.
     fn step_block(&mut self, max_instrs: u64) -> Result<bool, SimError> {
         let pc = self.state.pc;
-        let (region, generation) = {
+        let key = {
             let cache = self.cache.as_mut().expect("fast path enabled");
             match cache.get_or_fill(pc, &self.mem) {
                 Some(block) => {
                     self.block_buf.clear();
                     self.block_buf.extend_from_slice(&block.instrs);
-                    (block.region, block.generation)
+                    BlockKey {
+                        region: block.region,
+                        offset: pc.wrapping_sub(block.region),
+                        generation: block.generation,
+                    }
                 }
                 // Unmapped/undecodable PC: the slow step surfaces the
                 // fault with exactly the non-cached semantics.
                 None => return self.step().map(|out| out.wait),
             }
         };
-        let block_key = self.profile.as_deref_mut().map(|profile| {
-            let key = audo_obs::profile::BlockKey {
-                region,
-                offset: pc.wrapping_sub(region),
-                generation,
+        let mut retired = 0;
+        let end = loop {
+            let Some(&ci) = self.block_buf.get(retired) else {
+                break Ok(false);
             };
-            profile.record_entry(key);
-            key
-        });
-        for i in 0..self.block_buf.len() {
             if self.instr_count >= max_instrs {
-                return Err(SimError::LimitExceeded {
+                break Err(SimError::LimitExceeded {
                     what: "instructions retired",
                     limit: max_instrs,
                 });
             }
-            let ci = self.block_buf[i];
             debug_assert_eq!(self.state.pc, ci.pc, "block dispatch out of sync");
-            let out = execute(&mut self.state, &mut self.mem, &ci.instr, ci.pc, ci.len)?;
-            self.note_mix(&ci.instr);
-            self.note_opcode(&ci.instr, ci.len);
+            let out = match execute(&mut self.state, &mut self.mem, &ci.instr, ci.pc, ci.len) {
+                Ok(out) => out,
+                Err(e) => break Err(e),
+            };
             self.note_retired(ci.pc, &out);
-            if let Some(profile) = self.profile.as_deref_mut() {
-                let end = ci.pc.wrapping_add(u32::from(ci.len)).wrapping_sub(pc);
-                profile.record_instr(block_key, end);
-            }
-            if self.halted {
-                return Ok(false);
-            }
-            if out.wait {
-                return Ok(true);
+            retired += 1;
+            if self.halted || out.wait {
+                break Ok(out.wait);
             }
             // A plain store may have rewritten instructions later in this
             // very block; if the code region's generation moved, bail to a
             // fresh lookup at the (already updated) architectural PC.
-            if ci.may_store && self.mem.generation(Addr(region)) != Some(generation) {
-                return Ok(false);
+            if ci.may_store && self.mem.generation(Addr(key.region)) != Some(key.generation) {
+                break Ok(false);
             }
+        };
+        if let Some(observed) = self.observed.as_deref_mut() {
+            observed.record(Some(key), &self.block_buf[..retired]);
         }
-        Ok(false)
+        end
     }
 
     /// Runs until `HALT`, `WAIT`, or until `max_instrs` **total**
@@ -525,8 +507,6 @@ impl Iss {
             instr_count: self.instr_count,
             debug_markers: self.debug_markers,
             events: self.events.drain(),
-            opcode_counts: self.opcodes,
-            block_profile: self.profile,
         })
     }
 }
@@ -740,6 +720,41 @@ mod tests {
         let again = profile_after_wait(true);
         assert!(!again.is_empty());
         assert_eq!(again, profile_after_wait(false));
+    }
+
+    /// Every retirement reaches the observation record on either path:
+    /// blocks left at a `WAIT`, at a `HALT` and at the retire limit.
+    #[test]
+    fn profile_total_equals_retired_count_on_both_paths() {
+        let image = assemble(
+            "
+            .org 0x1000
+            movi d2, 4
+        head:
+            addi d2, d2, -1
+            jnz  d2, head
+            movi d3, 1
+            wait
+            mul  d3, d3, d3
+            halt
+        ",
+        )
+        .unwrap();
+        for (fast, limit) in [(false, 1_000), (true, 1_000), (false, 7), (true, 7)] {
+            let mut iss = Iss::new();
+            iss.map_region(Addr(0x1000), 0x100);
+            iss.load(&image).unwrap();
+            iss.set_fast_path(fast);
+            iss.set_profile_observation(true);
+            while let Ok(RunStop::Waited) = iss.run_resumable(limit) {}
+            let profile = iss.block_profile().unwrap();
+            let total = profile.total().instructions;
+            assert_eq!(total, iss.instr_count(), "fast {fast}, limit {limit}");
+            let slots: u64 = iss.opcode_counts().unwrap().iter().sum();
+            assert_eq!(slots, total, "fast {fast}, limit {limit}");
+            let unattributed = profile.unattributed.instructions;
+            assert_eq!(unattributed, if fast { 0 } else { total });
+        }
     }
 
     #[test]

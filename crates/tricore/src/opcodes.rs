@@ -13,14 +13,15 @@
 //! - [`opcode_index`] maps an executed instruction back to the table slot
 //!   its canonical encoding occupies ([`opcode_index_sized`] honours
 //!   widened `encode_sized` forms), which is what the ISS opcode-coverage
-//!   counters record;
+//!   counters record, and [`opcode_class`] folds those counts into the
+//!   retired-instruction mix;
 //! - [`sample_instr`] yields one representative instruction per slot, so
 //!   tests can prove *every* encodable form is assemblable and coverage
 //!   chasing can inject exactly the encodings a fuzz session has not yet
 //!   executed.
 
 use crate::forms::{find, form_at, FORMS};
-use crate::isa::Instr;
+use crate::isa::{Instr, InstrClass};
 
 /// Size of the shared 7-bit opcode index space (both formats).
 pub const OPCODE_SPACE: usize = 128;
@@ -54,6 +55,15 @@ pub fn opcode_index_sized(instr: &Instr, len: u8) -> u8 {
         .or_else(|| find(instr, false))
         .expect("every instruction has a form");
     form.slot
+}
+
+/// The [`InstrClass`] of the instructions an assigned opcode index holds.
+///
+/// Exact: each slot is one [`Instr`] variant, and [`Instr::class`]
+/// depends on the variant alone.
+#[must_use]
+pub fn opcode_class(index: u8) -> Option<InstrClass> {
+    form_at(index).map(|f| f.build([0; 4]).class())
 }
 
 /// The stable label of an assigned opcode index, if any.
@@ -151,6 +161,18 @@ mod tests {
             rb: DReg(3),
         };
         assert_eq!(opcode_index_sized(&wide, 4), 28);
+    }
+
+    #[test]
+    fn slot_class_is_the_class_of_its_sample() {
+        for &(idx, name) in ASSIGNED {
+            let class = opcode_class(idx).expect("assigned slot");
+            if let Some(sample) = sample_instr(idx) {
+                assert_eq!(class, sample.class(), "`{name}`");
+            }
+        }
+        assert_eq!(opcode_class(68), Some(InstrClass::ControlFlow), "ret");
+        assert_eq!(opcode_class(14), None);
     }
 
     #[test]

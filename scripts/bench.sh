@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 echo "==> BENCH_tiers.json (ISS and pipeline fast paths, instrumentation overhead)"
 # Verifies pipeline cycle-identity before timing, then interleaves every
 # variant of each tier in one process and gates the same-run ratios: the
-# fast paths must be faster, and mix counting and block profiling must
-# cost within their bands. A gate failure exits 1 and stops the script.
+# fast paths must be faster, and the observation record (ISS) and block
+# profiling (pipeline) must cost within their bands. A gate failure exits 1 and stops the script.
 cargo run --release -q -p audo-bench --bin tier_bench -- --json BENCH_tiers.json
 
 echo "==> BENCH_experiments.json (paper experiment timings)"

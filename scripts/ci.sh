@@ -258,7 +258,8 @@ echo "==> profile gate: golden pinned, attribution exact, self-compare zero, --j
 # pinned by the dedicated suite; the CLI surface must machine-check the
 # cycle-attribution identity on a full workload, a self-compare must
 # show all-zero deltas (parser/renderer round trip), and the worker
-# count must not leak one byte into a multi-workload report.
+# count must not leak one byte into a multi-workload report, on either
+# tier.
 # `tests/profile_determinism.rs` runs in the tier-1 `cargo test -q` step
 # and again in the `--workspace` step above.
 pf_dir="$(mktemp -d)"
@@ -272,6 +273,12 @@ grep -q ' 0 of .* blocks differ' "$pf_dir/self.txt"
 ./target/release/profile --workload engine,transmission,chassis --jobs 4 >"$pf_dir/j4.txt"
 ./target/release/profile --workload engine,transmission,chassis --jobs 1 >"$pf_dir/j1.txt"
 cmp "$pf_dir/j4.txt" "$pf_dir/j1.txt"
+# The functional tier's profile comes from the ISS observation record.
+./target/release/profile --workload engine,transmission,chassis --tier iss \
+    --jobs 4 >"$pf_dir/iss_j4.txt"
+./target/release/profile --workload engine,transmission,chassis --tier iss \
+    --jobs 1 >"$pf_dir/iss_j1.txt"
+cmp "$pf_dir/iss_j4.txt" "$pf_dir/iss_j1.txt"
 rm -rf "$pf_dir"
 echo "profile gate passed"
 

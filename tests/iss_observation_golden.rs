@@ -36,8 +36,6 @@ fn observed_iss(image: &Image, fast: bool) -> Iss {
     iss.init_csa(Addr(CSA_BASE), CSA_FRAMES).unwrap();
     iss.load(image).unwrap();
     iss.set_fast_path(fast);
-    iss.set_mix_observation(true);
-    iss.set_opcode_observation(true);
     iss.set_profile_observation(true);
     iss
 }

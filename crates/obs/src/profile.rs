@@ -115,9 +115,9 @@ impl BlockCounts {
 /// A deterministic per-block profile.
 ///
 /// The recording methods are branch-free on the disabled path by
-/// construction — the tiers hold an `Option<Box<BlockProfile>>` and only
-/// call in when profiling is on — and on the enabled path cost a key
-/// compare per event; one index lookup when the block changes. Counters
+/// construction — the tiers hold the profile behind an `Option<Box<…>>`
+/// and only call in when profiling is on — and on the enabled path cost a
+/// key compare per event; one index lookup when the block changes. Counters
 /// live in slots in first-seen order, an ordered index maps each key to
 /// its slot, and a one-entry memo of the last key's slot serves every
 /// event that hits the same block as the one before it. Slots are never
@@ -135,7 +135,8 @@ pub struct BlockProfile {
     last: Option<(BlockKey, u32)>,
     /// Cycles (and instructions) that could not be tied to a block:
     /// cold-start fetch before any block identity exists, interrupt-entry
-    /// serialization, and instructions carved from unstamped bytes. Kept
+    /// serialization, instructions carved from unstamped bytes, and the
+    /// functional ISS's slow single steps, which no block owns. Kept
     /// explicit so `Σ per-block cycles + unattributed == retire + Σ
     /// stalls == cycles` holds exactly.
     pub unattributed: BlockCounts,
